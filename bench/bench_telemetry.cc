@@ -1,12 +1,11 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Telemetry overhead on the Dispatch() fast path. The acceptance bar for
-// the observability layer: with tracing and histograms disabled the wrapper
-// must cost within noise of the raw dispatch (two relaxed atomic loads and
-// a branch); with them enabled the cost of the clock reads, digest, and
-// ring insertion is visible and bounded. The metrics registry gets the same
-// treatment: BM_Dispatch_MetricsRegistryOnly vs BM_Dispatch_TelemetryOff is
-// the +10% gate enforced by tools/check_latency_gate.py against
-// bench/baselines/metrics_baseline.json.
+// Telemetry overhead on the Dispatch() boundary, one switch at a time. With
+// tracing, histograms and counters off, Dispatch() skips every clock read,
+// the span, the digest and the trace record (BM_Dispatch_TelemetryOff);
+// with them on, the cost of each is visible and bounded. The gates enforced
+// by tools/check_latency_gate.py against bench/baselines/metrics_baseline.json
+// are BM_Dispatch_MetricsRegistryOnly vs BM_Dispatch_TelemetryOff (+10%) and
+// BM_Dispatch_HistogramsMetricsOn vs BM_Dispatch_HistogramsOnly.
 //
 // The op under test is kTakeInterrupt with an empty queue: it fails fast
 // inside the monitor, so the measurement is dominated by dispatch plumbing

@@ -2,8 +2,6 @@
 
 #include "src/monitor/dispatch.h"
 
-#include <chrono>
-
 #include "src/support/faults.h"
 #include "src/support/locking.h"
 
@@ -217,44 +215,23 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
   // method calls remain serial-only.
   const bool concurrent = monitor->concurrent_dispatch();
   const bool shared_op = concurrent && IsSharedDispatchOp(regs.op);
-  // With telemetry, the journal, AND the profiler fully off the boundary
-  // adds a handful of relaxed loads and branches (including the watchdog's
-  // disabled tick) -- measured by bench_telemetry / bench_profile against
-  // the seed baseline.
+  // One path for every switch setting. With telemetry, the journal and the
+  // profiler all off, each instrumented step below is skipped by its flag:
+  // no caller lookup, no clock read, no span, no digest, no trace record --
+  // the boundary then costs a handful of relaxed loads and branches
+  // (including the watchdog's disabled tick), which bench_telemetry and
+  // bench_profile measure.
+  const bool timing = telemetry.any_enabled();
   const bool journal_on = audit.enabled();
   const bool prof_on = profiler.enabled();
-  if (!telemetry.any_enabled() && !journal_on && !prof_on) {
-    ApiResult result;
-    {
-      ConditionalSharedLock read_lock(monitor->api_mu(), shared_op,
-                                      telemetry.shared_contention(),
-                                      telemetry.shared_wait_ns());
-      ConditionalUniqueLock write_lock(monitor->api_mu(), concurrent && !shared_op,
-                                       telemetry.exclusive_contention(),
-                                       telemetry.exclusive_wait_ns(),
-                                       DispatchPhase::kApiLockWait);
-      result = DispatchInner(monitor, core, regs);
-    }
-    if (result.error != 0) [[unlikely]] {
-      // First occurrence of each (op, error) shape snapshots a post-mortem
-      // record; repeats cost two relaxed loads (see FlightRecorder). No
-      // span id here -- the uninstrumented path never opens one.
-      monitor->flight_recorder().OnDispatchError(static_cast<uint16_t>(regs.op),
-                                                 /*span=*/0, result.error);
-    }
-    monitor->watchdog().MaybeTick(static_cast<uint16_t>(regs.op), /*span=*/0);
-    return result;
-  }
+  const bool recording = timing || journal_on;
+  const bool spanned = recording || prof_on;
+
   // Resolve the caller BEFORE the call: ops like kTransition change it.
-  const uint32_t caller = core < monitor->machine()->num_cores()
+  const uint32_t caller = recording && core < monitor->machine()->num_cores()
                               ? monitor->CurrentDomain(core)
                               : kTraceNoDomain;
-  const bool timing = telemetry.any_enabled();
-  const auto start = (timing || prof_on) ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point{};
-  const uint64_t start_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(start.time_since_epoch())
-          .count());
+  const uint64_t start_ns = (timing || prof_on) ? ProfilerNowNs() : 0;
   // The phase window opens on the SAME clock read the TraceEntry timing
   // uses and closes on the same end read below, so the per-phase sums
   // reconcile with the end-to-end duration exactly (kOther absorbs the
@@ -270,8 +247,8 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
       faults_active ? FaultInjector::Instance().fired_count() : 0;
 
   // Every journal record caused by this call -- engine mutations, cascades,
-  // backend effects -- shares this span id with the TraceEntry.
-  const uint64_t span = monitor->BeginSpan(core);
+  // backend effects -- shares this span id with the TraceEntry. 0 = none.
+  const uint64_t span = spanned ? monitor->BeginSpan(core) : 0;
   ApiResult result;
   {
     ConditionalSharedLock read_lock(monitor->api_mu(), shared_op,
@@ -283,22 +260,22 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
                                      DispatchPhase::kApiLockWait);
     result = DispatchInner(monitor, core, regs);
   }
-  monitor->EndSpan(core);
+  if (spanned) {
+    monitor->EndSpan(core);
+  }
 
   const uint16_t op = static_cast<uint16_t>(
       regs.op < static_cast<uint64_t>(ApiOp::kOpCount) ? regs.op : ~0ull);
-  const uint64_t args[] = {regs.arg0, regs.arg1, regs.arg2,
-                           regs.arg3, regs.arg4, regs.arg5};
-  const uint64_t args_digest = Fnv1aDigest(args, 6);
-
+  uint64_t args_digest = 0;
+  if (recording) {
+    const uint64_t args[] = {regs.arg0, regs.arg1, regs.arg2,
+                             regs.arg3, regs.arg4, regs.arg5};
+    args_digest = Fnv1aDigest(args, 6);
+  }
   if (journal_on) {
     audit.Dispatch(span, op, caller, args_digest, result.error);
   }
-  const auto end = (timing || windowed) ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point{};
-  const uint64_t end_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end.time_since_epoch())
-          .count());
+  const uint64_t end_ns = (timing || windowed) ? ProfilerNowNs() : 0;
   if (windowed) {
     profiler.EndWindow(op, span, end_ns);
   }
@@ -314,17 +291,17 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
     entry.start_ns = start_ns;
     // The telemetry-record overhead runs after the e2e clock stopped, so it
     // is measured DETACHED: visible in the phase histograms without ever
-    // perturbing the reconciliation property above. Sampled 1-in-16 (keyed
-    // off the monotonic span id, so no extra state) because the measurement
-    // itself costs two clock reads -- full-rate sampling would tax every
-    // dispatch to time a ~constant-cost recording step.
-    const bool sample_telemetry = windowed && (span & 15) == 0;
+    // perturbing the reconciliation property above. Sampled on one span id
+    // in kTelemetrySampleStride (no extra state) because the measurement
+    // itself costs two clock reads, and recorded with that weight so the
+    // phase totals stand for every dispatch.
+    const bool sample_telemetry = windowed && span % kTelemetrySampleStride == 0;
     const uint64_t record_start = sample_telemetry ? ProfilerNowNs() : 0;
     telemetry.RecordCall(entry);
     if (sample_telemetry) {
       const uint64_t record_end = ProfilerNowNs();
-      profiler.RecordDetached(op, DispatchPhase::kTelemetry,
-                              record_end - record_start, span, record_end);
+      profiler.RecordDetached(op, DispatchPhase::kTelemetry, record_end - record_start,
+                              span, record_end, kTelemetrySampleStride);
     }
   }
   // Post-mortem hooks, outside every dispatch lock. An injected fault that
@@ -337,6 +314,8 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
         "fault_site", op, span, result.error,
         sites.empty() ? std::string() : "site " + sites.back());
   } else if (result.error != 0) [[unlikely]] {
+    // First occurrence of each (op, error) shape snapshots a post-mortem
+    // record; repeats cost two relaxed loads (see FlightRecorder).
     monitor->flight_recorder().OnDispatchError(op, span, result.error);
   }
   // Watchdog tick LAST, after every lock is released: the checks take only

@@ -120,33 +120,6 @@ Monitor::Monitor(Machine* machine, AddrRange monitor_range, FrameAllocator metad
   RegisterMetrics();
 }
 
-namespace {
-
-// Bridges a LatencyHistogram into the registry's neutral snapshot shape,
-// trimming trailing empty buckets so the export stays compact.
-HistogramSnapshot ToHistogramSnapshot(const LatencyHistogram& histogram) {
-  HistogramSnapshot snapshot;
-  snapshot.count = histogram.count();
-  snapshot.sum = histogram.sum();
-  size_t highest = 0;
-  bool any = false;
-  for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (histogram.buckets()[i] != 0) {
-      highest = i;
-      any = true;
-    }
-  }
-  if (any) {
-    for (size_t i = 0; i <= highest; ++i) {
-      snapshot.buckets.emplace_back(LatencyHistogram::BucketUpperBound(i),
-                                    histogram.buckets()[i]);
-    }
-  }
-  return snapshot;
-}
-
-}  // namespace
-
 void Monitor::RegisterMetrics() {
   // Native striped counters: the hot-path signals the dispatcher bumps.
   for (size_t op = 0; op < static_cast<size_t>(ApiOp::kOpCount); ++op) {
@@ -156,7 +129,7 @@ void Monitor::RegisterMetrics() {
     metrics_.AddHistogram(
         "tyche_dispatch_latency_ns",
         "Monitor-side wall-clock latency per ABI call (log2 buckets)", labels,
-        [this, op] { return ToHistogramSnapshot(telemetry_.OpHistogram(op)); });
+        [this, op] { return telemetry_.OpHistogram(op); });
   }
   counters_.transitions = metrics_.AddCounter(
       "tyche_transitions_total", "Inter-domain control transfers, by path",
@@ -1297,10 +1270,10 @@ std::string TelemetrySnapshot::ToString() const {
     std::string name = ApiOpName(static_cast<ApiOp>(op));
     name.resize(26, ' ');
     out << name << std::setw(7) << stats.api_calls[op];
-    if (op < per_op_latency.size() && per_op_latency[op].count() > 0) {
-      const LatencyHistogram& histogram = per_op_latency[op];
+    if (op < per_op_latency.size() && per_op_latency[op].count > 0) {
+      const HistogramSnapshot& histogram = per_op_latency[op];
       out << std::setw(10) << histogram.Percentile(50) << std::setw(10)
-          << histogram.Percentile(99) << std::setw(10) << histogram.max();
+          << histogram.Percentile(99) << std::setw(10) << histogram.max;
     } else {
       out << std::setw(10) << "-" << std::setw(10) << "-" << std::setw(10) << "-";
     }

@@ -128,10 +128,10 @@ const char* CapEffectKindName(CapEffect::Kind kind);
 struct TelemetrySnapshot {
   MonitorStats stats;
   BackendStats backend;
-  std::vector<TraceEntry> trace;                 // oldest first
-  uint64_t trace_recorded = 0;                   // total traced calls
-  uint64_t trace_dropped = 0;                    // overwritten by the ring
-  std::vector<LatencyHistogram> per_op_latency;  // indexed by ApiOp
+  std::vector<TraceEntry> trace;                  // oldest first
+  uint64_t trace_recorded = 0;                    // total traced calls
+  uint64_t trace_dropped = 0;                     // overwritten by the ring
+  std::vector<HistogramSnapshot> per_op_latency;  // indexed by ApiOp
   std::string capability_graph_dot;
   std::string capability_graph_json;
 

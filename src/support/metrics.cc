@@ -3,6 +3,7 @@
 #include "src/support/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace tyche {
@@ -19,6 +20,61 @@ size_t AssignThisThreadStripe() {
 }
 
 }  // namespace metrics_internal
+
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  for (size_t i = 0; i < kHistogramBuckets; ++i) {
+    buckets[i] += other.buckets[i];
+  }
+  count += other.count;
+  sum += other.sum;
+  max = std::max(max, other.max);
+}
+
+uint64_t HistogramSnapshot::Percentile(double p) const {
+  if (count == 0) {
+    return 0;
+  }
+  // Nearest rank, computed in integers so that binary rounding of p cannot
+  // move it: p is taken in millionths of the whole (p = 99 -> 990000), and
+  // the rank is ceil(millionths * count / 10^6), at least 1.
+  const auto millionths =
+      static_cast<unsigned __int128>(std::llround(std::clamp(p, 0.0, 100.0) * 1e4));
+  const uint64_t rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>((millionths * count + 999'999) / 1'000'000));
+  uint64_t seen = 0;
+  for (size_t i = 0; i < kHistogramBuckets; ++i) {
+    seen += buckets[i];
+    if (seen >= rank) {
+      return Log2BucketUpperBound(i);
+    }
+  }
+  return max;
+}
+
+HistogramSnapshot StripedHistogram::Snapshot() const {
+  HistogramSnapshot snapshot;
+  for (const Cell& cell : cells_) {
+    for (size_t i = 0; i < kHistogramBuckets; ++i) {
+      snapshot.buckets[i] += cell.buckets[i].load(std::memory_order_relaxed);
+    }
+    snapshot.sum += cell.sum.load(std::memory_order_relaxed);
+    snapshot.max = std::max(snapshot.max, cell.max.load(std::memory_order_relaxed));
+  }
+  for (const uint64_t bucket : snapshot.buckets) {
+    snapshot.count += bucket;
+  }
+  return snapshot;
+}
+
+void StripedHistogram::Reset() {
+  for (Cell& cell : cells_) {
+    for (std::atomic<uint64_t>& bucket : cell.buckets) {
+      bucket.store(0, std::memory_order_relaxed);
+    }
+    cell.sum.store(0, std::memory_order_relaxed);
+    cell.max.store(0, std::memory_order_relaxed);
+  }
+}
 
 std::string PromEscapeHelp(const std::string& text) {
   std::string out;
@@ -161,12 +217,17 @@ std::string MetricsRegistry::ExportPrometheus() const {
         if (!child.histogram) {
           continue;
         }
+        // The ladder runs up to the highest non-empty bucket; +Inf closes it.
         const HistogramSnapshot snapshot = child.histogram();
+        size_t used = kHistogramBuckets;
+        while (used > 0 && snapshot.buckets[used - 1] == 0) {
+          --used;
+        }
         uint64_t cumulative = 0;
-        for (const auto& [bound, count] : snapshot.buckets) {
-          cumulative += count;
+        for (size_t i = 0; i < used; ++i) {
+          cumulative += snapshot.buckets[i];
           out << RenderWithExtraLabel(name + "_bucket", child.labels, "le",
-                                      std::to_string(bound))
+                                      std::to_string(Log2BucketUpperBound(i)))
               << " " << cumulative << "\n";
         }
         out << RenderWithExtraLabel(name + "_bucket", child.labels, "le", "+Inf") << " "

@@ -13,6 +13,9 @@
 //    at first use) and increments it with one relaxed fetch_add, so eight
 //    dispatching cores never bounce a shared line. Reads sum the stripes --
 //    monotonic but not linearizable, which is exactly what a scraper needs.
+//  - StripedHistogram: the one latency recorder. Log2 buckets plus sum and
+//    max, striped over the same per-thread cells as StripedCounter, read out
+//    as a plain HistogramSnapshot that merges and answers percentiles.
 //  - MetricsRegistry: named families of counters, gauges, and histogram
 //    views, each with optional labels. Native counters/gauges live in the
 //    registry; signals owned elsewhere (backend stats, journal sizes, fault
@@ -20,14 +23,13 @@
 //    ExportPrometheus() renders the whole surface in deterministic (sorted)
 //    order with proper HELP/label escaping.
 //
-// Everything here is independent of the monitor's types: histogram views
-// are exported through the plain HistogramSnapshot struct below, so
-// telemetry.h can include this header (for the striped contention counters)
-// without a cycle.
+// Everything here is independent of the monitor's types, so telemetry.h and
+// profiler.h can include this header without a cycle.
 
 #ifndef SRC_SUPPORT_METRICS_H_
 #define SRC_SUPPORT_METRICS_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -53,6 +55,18 @@ namespace metrics_internal {
 // round-robin fetch_add) happens once per thread, out of line.
 extern thread_local size_t tls_stripe_plus1;
 size_t AssignThisThreadStripe();  // returns stripe + 1 and caches it
+
+// Threads take consecutive stripe ids at first use, so up to kMetricStripes
+// concurrent threads never share a cell. Inline and guard-free: counter and
+// histogram bumps sit on the dispatch fast path, gated to +10% of the
+// telemetry-off boundary by bench_telemetry.
+inline size_t ThisThreadStripe() {
+  const size_t cached = tls_stripe_plus1;
+  if (cached != 0) [[likely]] {
+    return cached - 1;
+  }
+  return AssignThisThreadStripe() - 1;
+}
 }  // namespace metrics_internal
 
 // Monotonic counter striped over per-thread cache-line-aligned cells.
@@ -65,7 +79,8 @@ class StripedCounter {
   StripedCounter& operator=(const StripedCounter&) = delete;
 
   void Add(uint64_t delta = 1) {
-    cells_[ThisThreadStripe()].value.fetch_add(delta, std::memory_order_relaxed);
+    cells_[metrics_internal::ThisThreadStripe()].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
 
   uint64_t Value() const {
@@ -97,18 +112,6 @@ class StripedCounter {
     std::atomic<uint64_t> value{0};
   };
 
-  // Threads take consecutive stripe ids at first use, so up to
-  // kMetricStripes concurrent threads never share a cell. Inline and
-  // guard-free: the counter bump sits on the dispatch fast path, gated to
-  // +10% of the telemetry-off boundary by bench_telemetry.
-  static size_t ThisThreadStripe() {
-    const size_t cached = metrics_internal::tls_stripe_plus1;
-    if (cached != 0) [[likely]] {
-      return cached - 1;
-    }
-    return metrics_internal::AssignThisThreadStripe() - 1;
-  }
-
   std::array<Cell, kMetricStripes> cells_;
 };
 
@@ -124,15 +127,76 @@ class MetricGauge {
   std::atomic<int64_t> value_{0};
 };
 
-// A histogram rendered into the export: log2 (or any) bucket upper bounds
-// with per-bucket counts, plus count/sum. Produced by a pull callback so
-// the registry needs no knowledge of the histogram implementation.
+// The log2 bucket ladder every latency histogram uses: bucket i counts
+// values v with 2^(i-1) < v <= 2^i (bucket 0 counts 0 and 1). Values above
+// 2^63 have no power-of-two upper bound in 64 bits; they land in the last
+// bucket, whose upper bound saturates to ~0.
+inline constexpr size_t kHistogramBuckets = 64;
+
+// Smallest i with value <= 2^i, i.e. ceil(log2(value)), clamped to the
+// last bucket.
+inline size_t Log2BucketIndex(uint64_t value) {
+  if (value <= 1) {
+    return 0;
+  }
+  return std::min<size_t>(kHistogramBuckets - 1,
+                          static_cast<size_t>(64 - __builtin_clzll(value - 1)));
+}
+
+// Inclusive upper bound of values landing in bucket i (the `le` label).
+inline uint64_t Log2BucketUpperBound(size_t i) { return i >= 63 ? ~0ull : (1ull << i); }
+
+// A point-in-time log2 histogram: what StripedHistogram::Snapshot returns,
+// what the registry exports, and what percentiles are read from. Plain
+// data, so it copies and merges freely.
 struct HistogramSnapshot {
-  // (inclusive upper bound, count in bucket) pairs, ascending. The exporter
-  // emits cumulative counts and appends the +Inf bucket itself.
-  std::vector<std::pair<uint64_t, uint64_t>> buckets;
+  std::array<uint64_t, kHistogramBuckets> buckets{};  // samples per bucket
   uint64_t count = 0;
   uint64_t sum = 0;
+  uint64_t max = 0;
+
+  void Merge(const HistogramSnapshot& other);
+
+  // Upper bound of the bucket holding the nearest-rank p-th percentile
+  // sample (p in [0, 100], resolved to 1e-4): the sample of rank
+  // ceil(p / 100 * count), at least 1. Returns 0 on an empty histogram.
+  uint64_t Percentile(double p) const;
+};
+
+// The one latency recorder: log2 buckets, sum and max striped over
+// kMetricStripes cache-line-aligned cells, so concurrent dispatchers never
+// bounce a bucket line and no lock is taken. Record() is wait-free except
+// for the rare max update; Snapshot() sums the stripes (monotonic, not
+// linearizable, like StripedCounter::Value()).
+class StripedHistogram {
+ public:
+  StripedHistogram() = default;
+  StripedHistogram(const StripedHistogram&) = delete;
+  StripedHistogram& operator=(const StripedHistogram&) = delete;
+
+  // Records `weight` samples of `value`. A weight above 1 stands a sampled
+  // measurement in for the events it was sampled from.
+  void Record(uint64_t value, uint64_t weight = 1) {
+    Cell& cell = cells_[metrics_internal::ThisThreadStripe()];
+    cell.buckets[Log2BucketIndex(value)].fetch_add(weight, std::memory_order_relaxed);
+    cell.sum.fetch_add(value * weight, std::memory_order_relaxed);
+    uint64_t seen = cell.max.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !cell.max.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
+  HistogramSnapshot Snapshot() const;
+  void Reset();
+
+ private:
+  struct alignas(64) Cell {
+    std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets{};
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> max{0};
+  };
+
+  std::array<Cell, kMetricStripes> cells_;
 };
 
 // label key/value pairs, rendered in the order given.

@@ -37,33 +37,16 @@ const char* DispatchPhaseName(DispatchPhase phase) {
   return "?";
 }
 
-namespace {
-
-// Same bucketing as LatencyHistogram::Record: smallest i with value <= 2^i,
-// saturating at the last bucket. Keeping the two identical is what makes
-// "p99 within one log2 bucket" comparisons between the e2e histogram and
-// the phase histograms meaningful.
-size_t BucketIndex(uint64_t value) {
-  if (value <= 1) {
-    return 0;
-  }
-  return std::min<size_t>(LatencyHistogram::kBuckets - 1,
-                          static_cast<size_t>(64 - __builtin_clzll(value - 1)));
-}
-
-}  // namespace
-
 DispatchProfiler::DispatchProfiler(size_t op_count)
     : op_count_(op_count == 0 ? 1 : op_count) {}
 
 void DispatchProfiler::set_enabled(bool enabled) {
   if (enabled) {
     std::lock_guard<std::mutex> lock(storage_mu_);
-    if (cell_storage_ == nullptr) {
-      const size_t total = kMetricStripes * op_count_ * kDispatchPhaseCount * kSlots;
-      cell_storage_ = std::make_unique<std::atomic<uint64_t>[]>(total);
-      exemplars_ = std::make_unique<ExemplarCell[]>(op_count_ * kDispatchPhaseCount);
-      cells_.store(cell_storage_.get(), std::memory_order_release);
+    if (histogram_storage_ == nullptr) {
+      histogram_storage_ = std::make_unique<StripedHistogram[]>(CellCount());
+      exemplars_ = std::make_unique<ExemplarCell[]>(CellCount());
+      histograms_.store(histogram_storage_.get(), std::memory_order_release);
     }
   }
   enabled_.store(enabled, std::memory_order_relaxed);
@@ -92,33 +75,25 @@ void DispatchProfiler::EndWindow(uint16_t op, uint64_t span, uint64_t end_ns) {
   scratch.active = false;
   for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
     if (scratch.ns[phase] != 0) {
-      RecordSample(op, phase, scratch.ns[phase], span, end_ns);
+      RecordSample(op, phase, scratch.ns[phase], span, end_ns, /*weight=*/1);
     }
   }
 }
 
 void DispatchProfiler::RecordDetached(uint16_t op, DispatchPhase phase, uint64_t ns,
-                                      uint64_t span, uint64_t ts_ns) {
-  if (ns == 0) {
-    return;
-  }
-  RecordSample(op, static_cast<size_t>(phase), ns, span, ts_ns);
+                                      uint64_t span, uint64_t ts_ns, uint64_t weight) {
+  RecordSample(op, static_cast<size_t>(phase), ns, span, ts_ns, weight);
 }
 
 void DispatchProfiler::RecordSample(uint16_t op, size_t phase, uint64_t ns,
-                                    uint64_t span, uint64_t ts_ns) {
-  std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr || op >= op_count_) {
+                                    uint64_t span, uint64_t ts_ns, uint64_t weight) {
+  StripedHistogram* histograms = histograms_.load(std::memory_order_acquire);
+  const size_t cell = CellIndex(op, phase);
+  if (histograms == nullptr || cell == CellCount()) {
     return;
   }
-  size_t stripe = metrics_internal::tls_stripe_plus1;
-  if (stripe == 0) {
-    stripe = metrics_internal::AssignThisThreadStripe();
-  }
-  const size_t base = CellBase(stripe - 1, op, phase);
-  cells[base + BucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
-  cells[base + kBucketSlots].fetch_add(ns, std::memory_order_relaxed);
-  ExemplarCell& exemplar = exemplars_[op * kDispatchPhaseCount + phase];
+  histograms[cell].Record(ns, weight);
+  ExemplarCell& exemplar = exemplars_[cell];
   if (ns > exemplar.max_ns.load(std::memory_order_relaxed)) [[unlikely]] {
     MaybeUpdateExemplar(exemplar, ns, span, ts_ns);
   }
@@ -137,83 +112,51 @@ void DispatchProfiler::MaybeUpdateExemplar(ExemplarCell& cell, uint64_t ns,
 
 HistogramSnapshot DispatchProfiler::PhaseSnapshot(uint16_t op,
                                                   DispatchPhase phase) const {
-  HistogramSnapshot snapshot;
-  const std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr || op >= op_count_ ||
-      phase >= DispatchPhase::kPhaseCount) {
-    return snapshot;
+  const StripedHistogram* histograms = histograms_.load(std::memory_order_acquire);
+  const size_t cell = CellIndex(op, static_cast<size_t>(phase));
+  if (histograms == nullptr || cell == CellCount()) {
+    return HistogramSnapshot{};
   }
-  std::array<uint64_t, kBucketSlots> buckets{};
-  uint64_t sum = 0;
-  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
-    const size_t base = CellBase(stripe, op, static_cast<size_t>(phase));
-    for (size_t i = 0; i < kBucketSlots; ++i) {
-      buckets[i] += cells[base + i].load(std::memory_order_relaxed);
-    }
-    sum += cells[base + kBucketSlots].load(std::memory_order_relaxed);
-  }
-  size_t last = kBucketSlots;
-  while (last > 0 && buckets[last - 1] == 0) {
-    --last;
-  }
-  for (size_t i = 0; i < last; ++i) {
-    snapshot.buckets.emplace_back(LatencyHistogram::BucketUpperBound(i), buckets[i]);
-    snapshot.count += buckets[i];
-  }
-  snapshot.sum = sum;
-  return snapshot;
+  return histograms[cell].Snapshot();
 }
 
 DispatchProfiler::ExemplarSample DispatchProfiler::Exemplar(
     uint16_t op, DispatchPhase phase) const {
   ExemplarSample sample;
-  if (exemplars_ == nullptr || op >= op_count_ ||
-      phase >= DispatchPhase::kPhaseCount) {
+  const size_t cell = CellIndex(op, static_cast<size_t>(phase));
+  if (exemplars_ == nullptr || cell == CellCount()) {
     return sample;
   }
-  const ExemplarCell& cell =
-      exemplars_[op * kDispatchPhaseCount + static_cast<size_t>(phase)];
   std::lock_guard<std::mutex> lock(exemplar_mu_);
-  sample.ns = cell.max_ns.load(std::memory_order_relaxed);
-  sample.span = cell.span;
-  sample.ts_ns = cell.ts_ns;
+  sample.ns = exemplars_[cell].max_ns.load(std::memory_order_relaxed);
+  sample.span = exemplars_[cell].span;
+  sample.ts_ns = exemplars_[cell].ts_ns;
   return sample;
 }
 
 uint64_t DispatchProfiler::TotalSamples() const {
-  const std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr) {
+  const StripedHistogram* histograms = histograms_.load(std::memory_order_acquire);
+  if (histograms == nullptr) {
     return 0;
   }
   uint64_t total = 0;
-  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
-    for (size_t op = 0; op < op_count_; ++op) {
-      for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
-        const size_t base = CellBase(stripe, op, phase);
-        for (size_t i = 0; i < kBucketSlots; ++i) {
-          total += cells[base + i].load(std::memory_order_relaxed);
-        }
-      }
-    }
+  for (size_t cell = 0; cell < CellCount(); ++cell) {
+    total += histograms[cell].Snapshot().count;
   }
   return total;
 }
 
 void DispatchProfiler::Reset() {
   std::lock_guard<std::mutex> storage_lock(storage_mu_);
-  std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr) {
+  if (histogram_storage_ == nullptr) {
     return;
   }
-  const size_t total = kMetricStripes * op_count_ * kDispatchPhaseCount * kSlots;
-  for (size_t i = 0; i < total; ++i) {
-    cells[i].store(0, std::memory_order_relaxed);
-  }
   std::lock_guard<std::mutex> lock(exemplar_mu_);
-  for (size_t i = 0; i < op_count_ * kDispatchPhaseCount; ++i) {
-    exemplars_[i].max_ns.store(0, std::memory_order_relaxed);
-    exemplars_[i].span = 0;
-    exemplars_[i].ts_ns = 0;
+  for (size_t cell = 0; cell < CellCount(); ++cell) {
+    histogram_storage_[cell].Reset();
+    exemplars_[cell].max_ns.store(0, std::memory_order_relaxed);
+    exemplars_[cell].span = 0;
+    exemplars_[cell].ts_ns = 0;
   }
 }
 

@@ -11,7 +11,8 @@
 //   journal          audit-journal append, including the group-commit wait
 //   telemetry        trace-ring + histogram recording overhead (measured
 //                    OUTSIDE the e2e window and SAMPLED 1-in-16, because
-//                    the measurement itself costs two clock reads)
+//                    the measurement itself costs two clock reads; each
+//                    sample is recorded with weight 16)
 //   other            residual boundary work (arg staging, caller resolution,
 //                    guest-memory copies, attestation serialization, ...)
 //
@@ -25,11 +26,11 @@
 //
 // Cost model: ScopedPhase is one bare TLS load when no window is open (the
 // profiler off / serial production case), and two steady-clock reads when
-// one is. Samples land in per-op x per-phase log2 histograms striped over
-// the same per-thread cells as StripedCounter, so eight dispatching cores
-// never bounce a bucket line. The whole feature sits behind a kill switch
-// (set_enabled) mirroring the telemetry switches; storage (~1.2 MiB) is
-// allocated on first enable, never on the record path.
+// one is. Samples land in one StripedHistogram per (op, phase) -- the same
+// recorder and log2 ladder as the per-op e2e histograms -- so eight
+// dispatching cores never bounce a bucket line. The whole feature sits
+// behind a kill switch (set_enabled) mirroring the telemetry switches;
+// storage (~1.3 MiB) is allocated on first enable, never on the record path.
 //
 // Exemplars: every (op, phase) keeps its slowest sample's trace span id and
 // steady-clock timestamp, so a histogram outlier is clickable into the
@@ -48,7 +49,6 @@
 #include <string>
 
 #include "src/support/metrics.h"
-#include "src/support/telemetry.h"
 
 namespace tyche {
 
@@ -72,6 +72,11 @@ inline constexpr size_t kDispatchPhaseCount =
 // Stable lowercase token per phase ("api_lock_wait", ...), used as the
 // Prometheus label value and the folded-stack frame name.
 const char* DispatchPhaseName(DispatchPhase phase);
+
+// The detached telemetry phase is measured on one dispatch in this many
+// (keyed off the span id) and each sample is recorded with this weight, so
+// phase totals stand for every dispatch.
+inline constexpr uint64_t kTelemetrySampleStride = 16;
 
 inline uint64_t ProfilerNowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -136,10 +141,10 @@ class ScopedPhase {
   uint8_t prev_;
 };
 
-// Per-op x per-phase log2 latency histograms with striped atomic cells plus
-// slowest-sample exemplars. One instance per Monitor; the scratch window is
-// per-thread and global, so nested monitors on one thread are not supported
-// (BeginWindow refuses while a window is open).
+// Per-op x per-phase latency histograms plus slowest-sample exemplars. One
+// instance per Monitor; the scratch window is per-thread and global, so
+// nested monitors on one thread are not supported (BeginWindow refuses while
+// a window is open).
 class DispatchProfiler {
  public:
   explicit DispatchProfiler(size_t op_count);
@@ -160,13 +165,13 @@ class DispatchProfiler {
   void EndWindow(uint16_t op, uint64_t span, uint64_t end_ns);
 
   // Records a sample measured outside any window (the telemetry-overhead
-  // phase, which runs after the e2e clock stops).
+  // phase, which runs after the e2e clock stops), standing for `weight`
+  // dispatches when it was sampled from that many.
   void RecordDetached(uint16_t op, DispatchPhase phase, uint64_t ns, uint64_t span,
-                      uint64_t ts_ns);
+                      uint64_t ts_ns, uint64_t weight = 1);
 
-  // Aggregated view of one (op, phase) histogram: log2 buckets in
-  // HistogramSnapshot shape (trailing empty buckets trimmed), stripe cells
-  // summed. Zero-filled when the op is out of range or nothing recorded.
+  // Snapshot of one (op, phase) histogram. Empty when the op is out of
+  // range or nothing was recorded.
   HistogramSnapshot PhaseSnapshot(uint16_t op, DispatchPhase phase) const;
 
   struct ExemplarSample {
@@ -186,23 +191,22 @@ class DispatchProfiler {
   void Reset();
 
  private:
-  // Cell layout per (stripe, op, phase): kBucketSlots bucket counters then
-  // one sum-of-ns slot.
-  static constexpr size_t kBucketSlots = LatencyHistogram::kBuckets;
-  static constexpr size_t kSlots = kBucketSlots + 1;
-
   struct ExemplarCell {
     std::atomic<uint64_t> max_ns{0};
     uint64_t span = 0;   // guarded by exemplar_mu_
     uint64_t ts_ns = 0;  // guarded by exemplar_mu_
   };
 
-  size_t CellBase(size_t stripe, size_t op, size_t phase) const {
-    return ((stripe * op_count_ + op) * kDispatchPhaseCount + phase) * kSlots;
+  size_t CellCount() const { return op_count_ * kDispatchPhaseCount; }
+  // (op, phase) index into the histogram and exemplar arrays, or CellCount()
+  // when out of range.
+  size_t CellIndex(uint16_t op, size_t phase) const {
+    return op < op_count_ && phase < kDispatchPhaseCount ? op * kDispatchPhaseCount + phase
+                                                         : CellCount();
   }
 
   void RecordSample(uint16_t op, size_t phase, uint64_t ns, uint64_t span,
-                    uint64_t ts_ns);
+                    uint64_t ts_ns, uint64_t weight);
   void MaybeUpdateExemplar(ExemplarCell& cell, uint64_t ns, uint64_t span,
                            uint64_t ts_ns);
 
@@ -210,16 +214,16 @@ class DispatchProfiler {
   std::atomic<bool> enabled_{false};
   // Storage pointer is written once (under storage_mu_) and read with an
   // acquire load on the record path; null until the first enable.
-  std::atomic<std::atomic<uint64_t>*> cells_{nullptr};
+  std::atomic<StripedHistogram*> histograms_{nullptr};
   std::mutex storage_mu_;
-  std::unique_ptr<std::atomic<uint64_t>[]> cell_storage_;
+  std::unique_ptr<StripedHistogram[]> histogram_storage_;
   std::unique_ptr<ExemplarCell[]> exemplars_;
   mutable std::mutex exemplar_mu_;  // guards ExemplarCell span/ts pairs
 };
 
 // Folded-stack rendering for flamegraph.pl: one "op;phase weight" line per
-// (op, phase) with samples, weight = accumulated nanoseconds. Deterministic
-// order (op index, then phase index).
+// (op, phase) with samples, weight = accumulated nanoseconds (sampled phases
+// scaled by their weight). Deterministic order (op index, then phase index).
 std::string ExportFoldedStacks(const DispatchProfiler& profiler,
                                const std::function<std::string(uint16_t)>& op_name);
 

@@ -11,12 +11,10 @@
 //    wall-clock nanoseconds the monitor spent on the call. Old entries are
 //    overwritten (and counted as dropped) so tracing never allocates on the
 //    hot path after construction.
-//  - LatencyHistogram: log2-bucketed, mergeable. Bucket i counts values v
-//    with 2^(i-1) < v <= 2^i (bucket 0 counts 0 and 1). Good enough for
-//    p50/p99 at power-of-two resolution without storing samples.
-//  - Telemetry: per-op histograms plus the ring, with independent enable
-//    switches so the instrumentation cost itself can be benchmarked
-//    (bench_telemetry) and turned off on production hot paths.
+//  - Telemetry: one StripedHistogram (src/support/metrics.h) per op plus
+//    the ring, with independent enable switches so the instrumentation cost
+//    itself can be benchmarked (bench_telemetry) and turned off on
+//    production hot paths.
 //
 // Everything here is deliberately independent of the monitor's types: the
 // per-op dimension is just an index, named via a caller-provided callback
@@ -25,11 +23,11 @@
 #ifndef SRC_SUPPORT_TELEMETRY_H_
 #define SRC_SUPPORT_TELEMETRY_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -82,8 +80,6 @@ class TraceRing {
   uint64_t dropped() const;   // of those, how many overwrote an older entry
   void Clear();
 
-  // Human-readable dump, one line per entry (oldest first).
-  std::string DumpText(const std::function<std::string(uint16_t)>& op_name) const;
   // JSON array of entry objects.
   std::string DumpJson(const std::function<std::string(uint16_t)>& op_name) const;
 
@@ -93,38 +89,6 @@ class TraceRing {
   mutable std::mutex mu_;
   std::vector<TraceEntry> ring_;  // size capacity_, slot = seq % capacity_
   uint64_t next_seq_ = 0;
-};
-
-// Log2-bucketed histogram of non-negative 64-bit values. Not thread-safe by
-// itself (Telemetry serializes access); plain data so it copies and merges.
-class LatencyHistogram {
- public:
-  static constexpr size_t kBuckets = 64;
-
-  void Record(uint64_t value);
-  void Merge(const LatencyHistogram& other);
-  void Clear();
-
-  uint64_t count() const { return count_; }
-  uint64_t sum() const { return sum_; }
-  uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  uint64_t max() const { return max_; }
-  const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
-
-  // Upper bound of the bucket containing the p-th percentile (p in [0,100]).
-  // Returns 0 on an empty histogram. Percentile(50) / Percentile(99) are the
-  // p50/p99 used in telemetry summaries.
-  uint64_t Percentile(double p) const;
-
-  // Inclusive upper bound of values landing in bucket i.
-  static uint64_t BucketUpperBound(size_t i);
-
- private:
-  std::array<uint64_t, kBuckets> buckets_ = {};
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t min_ = ~0ull;
-  uint64_t max_ = 0;
 };
 
 // The aggregate carried by the monitor: one latency histogram per ABI op
@@ -154,15 +118,12 @@ class Telemetry {
   TraceRing& ring() { return ring_; }
   const TraceRing& ring() const { return ring_; }
 
-  LatencyHistogram OpHistogram(size_t op) const;
-  std::vector<LatencyHistogram> AllHistograms() const;
+  // Snapshots of the per-op histograms (empty for an out-of-range op).
+  HistogramSnapshot OpHistogram(size_t op) const;
+  std::vector<HistogramSnapshot> AllHistograms() const;
   // All per-op histograms merged into one.
-  LatencyHistogram MergedHistogram() const;
+  HistogramSnapshot MergedHistogram() const;
   void ClearHistograms();
-
-  // Per-op latency table: "op  count  p50  p99  max  total_ns" lines for
-  // ops with at least one sample.
-  std::string SummaryText(const std::function<std::string(uint16_t)>& op_name) const;
 
   // Lock-contention counters for concurrent dispatch: bumped by the monitor's
   // conditional guards whenever a try_lock fails and the thread has to block
@@ -194,8 +155,7 @@ class Telemetry {
   StripedCounter exclusive_wait_ns_;
   StripedCounter shared_wait_ns_;
   StripedCounter shard_wait_ns_;
-  mutable std::mutex mu_;  // guards per_op_
-  std::vector<LatencyHistogram> per_op_;
+  std::unique_ptr<StripedHistogram[]> per_op_;
   TraceRing ring_;
 };
 

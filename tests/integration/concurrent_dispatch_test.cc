@@ -40,12 +40,15 @@ class ConcurrentDispatchTest : public BootedMachineTest {
     regs.arg3 = a3;
     regs.arg4 = a4;
     regs.arg5 = a5;
+    dispatches_.fetch_add(1, std::memory_order_relaxed);
     return Dispatch(monitor_.get(), core, regs);
   }
 
   static uint64_t Pack(uint8_t rights, uint8_t policy) {
     return (static_cast<uint64_t>(rights) << 8) | policy;
   }
+
+  std::atomic<uint64_t> dispatches_{0};  // Dispatch() calls issued via Call()
 };
 
 TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
@@ -133,6 +136,14 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   EXPECT_GE(stats.max_batch, 1u);
   EXPECT_EQ(snapshot.journal_batches, stats.batches);
   EXPECT_EQ(snapshot.journal_batched_records, stats.batched_records);
+
+  // The striped latency recorder lost no sample: one per Dispatch() call.
+  HistogramSnapshot merged;
+  for (const HistogramSnapshot& histogram : snapshot.per_op_latency) {
+    merged.Merge(histogram);
+  }
+  EXPECT_EQ(merged.count, dispatches_.load());
+  EXPECT_EQ(merged.count, monitor_->telemetry().MergedHistogram().count);
 }
 
 TEST_F(ConcurrentDispatchTest, DestroyDomainPartialPurgeJournalsCommittedPrefix) {

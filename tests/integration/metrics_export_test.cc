@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
@@ -49,6 +50,29 @@ class MetricsExportTest : public BootedMachineTest {
     ASSERT_EQ(Call(0, ApiOp::kRevoke, shared.ret0).error, 0u);
     for (int i = 0; i < 4; ++i) {
       ASSERT_NE(Call(0, ApiOp::kTakeInterrupt).error, 0u);
+    }
+  }
+
+  // The `le` values of one histogram series, in scrape order.
+  static std::vector<std::string> LeLadder(const std::string& text,
+                                           const std::string& family,
+                                           const std::string& labels) {
+    const std::string prefix = family + "_bucket{" + labels + ",le=\"";
+    std::vector<std::string> ladder;
+    for (size_t at = text.find(prefix); at != std::string::npos;
+         at = text.find(prefix, at + 1)) {
+      const size_t begin = at + prefix.size();
+      ladder.push_back(text.substr(begin, text.find('"', begin) - begin));
+    }
+    return ladder;
+  }
+
+  // Asserts the ladder is 1, 2, 4, ... (at least one finite bucket) then +Inf.
+  static void ExpectLog2Ladder(const std::vector<std::string>& ladder) {
+    ASSERT_GE(ladder.size(), 2u);
+    EXPECT_EQ(ladder.back(), "+Inf");
+    for (size_t i = 0; i + 1 < ladder.size(); ++i) {
+      EXPECT_EQ(ladder[i], std::to_string(uint64_t{1} << i)) << "bucket " << i;
     }
   }
 
@@ -132,6 +156,66 @@ TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
             std::string::npos);
   EXPECT_NE(text.find("tyche_dispatch_latency_ns_bucket{op=\"share_memory\",le=\"+Inf\"} 1\n"),
             std::string::npos);
+}
+
+TEST_F(MetricsExportTest, DispatchHistogramsExportTheLog2Ladder) {
+  monitor_->profiler().set_enabled(true);
+  RunWorkload();
+  const std::string text = monitor_->ExportMetrics();
+  ExpectLog2Ladder(LeLadder(text, "tyche_dispatch_latency_ns", "op=\"share_memory\""));
+  ExpectLog2Ladder(LeLadder(text, "tyche_dispatch_phase_latency_ns",
+                            "op=\"share_memory\",phase=\"other\""));
+  // A series with no samples renders only the +Inf bucket.
+  EXPECT_EQ(LeLadder(text, "tyche_dispatch_latency_ns", "op=\"seal\""),
+            std::vector<std::string>{"+Inf"});
+}
+
+TEST_F(MetricsExportTest, SampledTelemetryPhaseStandsForEveryDispatch) {
+  // The telemetry phase is measured on one span id in 16 and recorded with
+  // weight 16, so over consecutive spans its count matches the dispatches.
+  monitor_->profiler().set_enabled(true);
+  constexpr uint64_t kDispatches = 1024;
+  for (uint64_t i = 0; i < kDispatches; ++i) {
+    ASSERT_NE(Call(0, ApiOp::kTakeInterrupt).error, 0u);
+  }
+  const uint16_t op = static_cast<uint16_t>(ApiOp::kTakeInterrupt);
+  EXPECT_EQ(monitor_->profiler().PhaseSnapshot(op, DispatchPhase::kTelemetry).count,
+            kDispatches);
+  EXPECT_EQ(monitor_->profiler().PhaseSnapshot(op, DispatchPhase::kOther).count,
+            kDispatches);
+}
+
+TEST_F(MetricsExportTest, EverySwitchOffSkipsSpansButKeepsAccounting) {
+  monitor_->telemetry().set_trace_enabled(false);
+  monitor_->telemetry().set_histograms_enabled(false);
+  monitor_->audit().set_enabled(false);
+  monitor_->flight_recorder().Clear();
+  const uint64_t records = monitor_->audit().journal().size();
+  const uint64_t traced = monitor_->telemetry().ring().recorded();
+  const auto creates = [this] {
+    return monitor_->stats().api_calls[static_cast<size_t>(ApiOp::kCreateDomain)];
+  };
+  const uint64_t created = creates();
+
+  ASSERT_EQ(Call(0, ApiOp::kCreateDomain).error, 0u);
+  ASSERT_NE(Call(0, ApiOp::kTakeInterrupt).error, 0u);
+
+  // Nothing optional ran: no journal record, trace entry or latency sample.
+  EXPECT_EQ(monitor_->audit().journal().size(), records);
+  EXPECT_EQ(monitor_->telemetry().ring().recorded(), traced);
+  EXPECT_EQ(monitor_->telemetry().MergedHistogram().count, 0u);
+  // The always-on accounting still did: the call counter and a span-less
+  // flight record of the failing call.
+  EXPECT_EQ(creates(), created + 1);
+  bool captured = false;
+  for (const FlightRecord& record : monitor_->flight_recorder().Snapshot()) {
+    if (record.reason == "dispatch_error" &&
+        record.op == static_cast<uint16_t>(ApiOp::kTakeInterrupt)) {
+      captured = true;
+      EXPECT_EQ(record.span, 0u);
+    }
+  }
+  EXPECT_TRUE(captured);
 }
 
 TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {

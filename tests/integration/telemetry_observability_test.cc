@@ -70,9 +70,9 @@ TEST_F(TelemetryObservabilityTest, TraceMatchesIssuedOps) {
 
   // Per-op latency histograms carry one sample each.
   const auto op_index = [](ApiOp op) { return static_cast<size_t>(op); };
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kCreateDomain)].count(), 1u);
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kShareMemory)].count(), 1u);
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kRevoke)].count(), 1u);
+  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kCreateDomain)].count, 1u);
+  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kShareMemory)].count, 1u);
+  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kRevoke)].count, 1u);
   EXPECT_GT(snapshot.per_op_latency[op_index(ApiOp::kShareMemory)].Percentile(99), 0u);
 
   // Engine-event and effect counters: one share, one revoke that cascaded,
@@ -133,7 +133,7 @@ TEST_F(TelemetryObservabilityTest, TelemetryOffRecordsNothing) {
   ASSERT_EQ(Call(0, ApiOp::kCreateDomain).error, 0u);
   const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
   EXPECT_TRUE(snapshot.trace.empty());
-  EXPECT_EQ(snapshot.per_op_latency[static_cast<size_t>(ApiOp::kCreateDomain)].count(), 0u);
+  EXPECT_EQ(snapshot.per_op_latency[static_cast<size_t>(ApiOp::kCreateDomain)].count, 0u);
   // Counters still work: they are part of enforcement accounting, not the
   // optional tracing layer.
   EXPECT_EQ(snapshot.stats.api_calls[static_cast<size_t>(ApiOp::kCreateDomain)], 1u);

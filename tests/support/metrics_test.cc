@@ -136,7 +136,8 @@ TEST(MetricsRegistryTest, HistogramRendersCumulativeBuckets) {
   MetricsRegistry registry;
   registry.AddHistogram("tyche_lat_ns", "latency", {{"op", "seal"}}, [] {
     HistogramSnapshot snapshot;
-    snapshot.buckets = {{1, 2}, {2, 0}, {4, 3}};
+    snapshot.buckets[0] = 2;  // le=1
+    snapshot.buckets[2] = 3;  // le=4; the empty le=2 bucket still renders
     snapshot.count = 5;
     snapshot.sum = 14;
     return snapshot;

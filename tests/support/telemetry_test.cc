@@ -1,13 +1,15 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// TraceRing and LatencyHistogram: capacity/overwrite semantics, percentile
-// math, merge, enable gating, and multi-threaded recording (the concurrency
-// the ASan/UBSan CI job gates).
+// TraceRing and the striped log2 histogram: capacity/overwrite semantics,
+// percentile math, merge, enable gating, and multi-threaded recording (the
+// concurrency the ASan/UBSan CI job gates).
 
 #include "src/support/telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <thread>
+#include <utility>
 
 namespace tyche {
 namespace {
@@ -65,89 +67,91 @@ TEST(TraceRingTest, ClearResets) {
   EXPECT_EQ(ring.recorded(), 0u);
 }
 
-TEST(TraceRingTest, DumpFormatsContainOpNames) {
+TEST(TraceRingTest, DumpJsonContainsOpNames) {
   TraceRing ring(4);
   ring.Record(MakeEntry(3, 42));
   const auto name = [](uint16_t op) { return std::string("op") + std::to_string(op); };
-  EXPECT_NE(ring.DumpText(name).find("op3"), std::string::npos);
   const std::string json = ring.DumpJson(name);
   EXPECT_NE(json.find("\"op\":\"op3\""), std::string::npos);
   EXPECT_NE(json.find("\"duration_ns\":42"), std::string::npos);
 }
 
-TEST(LatencyHistogramTest, BucketsArePowersOfTwo) {
-  LatencyHistogram histogram;
-  histogram.Record(0);
-  histogram.Record(1);
-  histogram.Record(2);
-  histogram.Record(3);
-  histogram.Record(1024);
-  EXPECT_EQ(histogram.count(), 5u);
-  EXPECT_EQ(histogram.sum(), 1030u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 1024u);
-  EXPECT_EQ(histogram.buckets()[0], 2u);   // 0, 1
-  EXPECT_EQ(histogram.buckets()[1], 1u);   // 2
-  EXPECT_EQ(histogram.buckets()[2], 1u);   // 3..4
-  EXPECT_EQ(histogram.buckets()[10], 1u);  // 513..1024
+// Records every value into a fresh striped histogram and snapshots it.
+HistogramSnapshot Histogram(std::initializer_list<std::pair<uint64_t, int>> samples) {
+  StripedHistogram recorder;
+  for (const auto& [value, times] : samples) {
+    for (int i = 0; i < times; ++i) {
+      recorder.Record(value);
+    }
+  }
+  return recorder.Snapshot();
 }
 
-TEST(LatencyHistogramTest, PercentilesAtBucketResolution) {
-  LatencyHistogram histogram;
+TEST(HistogramTest, BucketsArePowersOfTwo) {
+  const HistogramSnapshot histogram = Histogram({{0, 1}, {1, 1}, {2, 1}, {3, 1}, {1024, 1}});
+  EXPECT_EQ(histogram.count, 5u);
+  EXPECT_EQ(histogram.sum, 1030u);
+  EXPECT_EQ(histogram.max, 1024u);
+  EXPECT_EQ(histogram.buckets[0], 2u);   // 0, 1
+  EXPECT_EQ(histogram.buckets[1], 1u);   // 2
+  EXPECT_EQ(histogram.buckets[2], 1u);   // 3..4
+  EXPECT_EQ(histogram.buckets[10], 1u);  // 513..1024
+}
+
+TEST(HistogramTest, PercentilesAtBucketResolution) {
   // 99 cheap samples and one expensive one: p50 stays in the cheap bucket,
   // p99+ reaches the tail.
-  for (int i = 0; i < 99; ++i) {
-    histogram.Record(100);  // bucket upper bound 128
-  }
-  histogram.Record(1u << 20);
-  EXPECT_EQ(histogram.Percentile(50), 128u);
-  EXPECT_EQ(histogram.Percentile(99), 128u);
+  const HistogramSnapshot histogram = Histogram({{100, 99}, {1u << 20, 1}});
+  EXPECT_EQ(histogram.Percentile(50), 128u);  // bucket upper bound of 100
+  EXPECT_EQ(histogram.Percentile(99), 128u);  // rank 99 of 100, not 100
   EXPECT_EQ(histogram.Percentile(100), 1u << 20);
-  EXPECT_EQ(LatencyHistogram{}.Percentile(99), 0u);
+  EXPECT_EQ(HistogramSnapshot{}.Percentile(99), 0u);
 }
 
-TEST(LatencyHistogramTest, EmptyHistogramIsAllZero) {
-  const LatencyHistogram histogram;
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 0u);
+// Regression: the rank used to be rounded (p/100 * N + 0.5) instead of
+// taking the nearest-rank ceiling, which under-reported tails.
+TEST(HistogramTest, PercentileRankIsTheCeiling) {
+  // p99 of 170 samples is rank ceil(168.3) = 169: one of the slow samples.
+  const HistogramSnapshot tail = Histogram({{1000, 168}, {100000, 2}});
+  EXPECT_EQ(tail.Percentile(99), 131072u);
+  EXPECT_EQ(tail.Percentile(98), 1024u);  // rank ceil(166.6) = 167
+  // p10 of 12 samples is rank ceil(1.2) = 2: past the single cheap one.
+  const HistogramSnapshot head = Histogram({{1, 1}, {1024, 11}});
+  EXPECT_EQ(head.Percentile(10), 1024u);
+  EXPECT_EQ(head.Percentile(8), 1u);  // rank ceil(0.96) = 1
+}
+
+TEST(HistogramTest, EmptyHistogramIsAllZero) {
+  const HistogramSnapshot histogram = StripedHistogram().Snapshot();
+  EXPECT_EQ(histogram.count, 0u);
+  EXPECT_EQ(histogram.sum, 0u);
+  EXPECT_EQ(histogram.max, 0u);
   EXPECT_EQ(histogram.Percentile(0), 0u);
   EXPECT_EQ(histogram.Percentile(50), 0u);
   EXPECT_EQ(histogram.Percentile(100), 0u);
 }
 
-TEST(LatencyHistogramTest, SingleSampleAnswersEveryPercentile) {
-  LatencyHistogram histogram;
-  histogram.Record(300);  // bucket upper bound 512
-  EXPECT_EQ(histogram.min(), 300u);
-  EXPECT_EQ(histogram.max(), 300u);
+TEST(HistogramTest, SingleSampleAnswersEveryPercentile) {
+  const HistogramSnapshot histogram = Histogram({{300, 1}});  // upper bound 512
+  EXPECT_EQ(histogram.max, 300u);
   // With one sample the nearest rank is 1 for every p, including p=0.
   EXPECT_EQ(histogram.Percentile(0), 512u);
   EXPECT_EQ(histogram.Percentile(50), 512u);
   EXPECT_EQ(histogram.Percentile(100), 512u);
 }
 
-TEST(LatencyHistogramTest, HugeValuesClampToTheLastBucket) {
-  LatencyHistogram histogram;
+TEST(HistogramTest, HugeValuesClampToTheLastBucket) {
   // Values above 2^63 used to compute bucket index 64 -- one past the end.
-  histogram.Record(~0ull);
-  histogram.Record((1ull << 63) + 1);
-  EXPECT_EQ(histogram.buckets()[LatencyHistogram::kBuckets - 1], 2u);
+  const HistogramSnapshot histogram = Histogram({{~0ull, 1}, {(1ull << 63) + 1, 1}});
+  EXPECT_EQ(histogram.buckets[kHistogramBuckets - 1], 2u);
   EXPECT_EQ(histogram.Percentile(100), ~0ull);
-  EXPECT_EQ(histogram.max(), ~0ull);
+  EXPECT_EQ(histogram.max, ~0ull);
 }
 
-TEST(LatencyHistogramTest, DisjointBucketMergeKeepsRanksInRange) {
-  LatencyHistogram low;
-  LatencyHistogram high;
-  for (int i = 0; i < 10; ++i) {
-    low.Record(3);  // bucket upper bound 4
-  }
-  for (int i = 0; i < 10; ++i) {
-    high.Record(1ull << 40);
-  }
-  low.Merge(high);
-  ASSERT_EQ(low.count(), 20u);
+TEST(HistogramTest, DisjointBucketMergeKeepsRanksInRange) {
+  HistogramSnapshot low = Histogram({{3, 10}});  // bucket upper bound 4
+  low.Merge(Histogram({{1ull << 40, 10}}));
+  ASSERT_EQ(low.count, 20u);
   // Ranks land inside real buckets on both sides of the empty middle; the
   // nearest-rank scan must terminate inside the table for every p.
   EXPECT_EQ(low.Percentile(0), 4u);
@@ -160,16 +164,29 @@ TEST(LatencyHistogramTest, DisjointBucketMergeKeepsRanksInRange) {
   }
 }
 
-TEST(LatencyHistogramTest, MergeAddsCountsAndExtremes) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.Record(4);
-  b.Record(4096);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.min(), 4u);
-  EXPECT_EQ(a.max(), 4096u);
+TEST(HistogramTest, MergeAddsCountsAndExtremes) {
+  HistogramSnapshot a = Histogram({{4, 1}});
+  a.Merge(Histogram({{4096, 1}}));
+  EXPECT_EQ(a.count, 2u);
+  EXPECT_EQ(a.sum, 4100u);
+  EXPECT_EQ(a.max, 4096u);
   EXPECT_EQ(a.Percentile(100), 4096u);
+}
+
+TEST(HistogramTest, WeightedSamplesCountAsManyAndResetClears) {
+  StripedHistogram recorder;
+  recorder.Record(100, /*weight=*/16);
+  recorder.Record(3);
+  HistogramSnapshot snapshot = recorder.Snapshot();
+  EXPECT_EQ(snapshot.count, 17u);
+  EXPECT_EQ(snapshot.sum, 1603u);
+  EXPECT_EQ(snapshot.buckets[7], 16u);  // 65..128
+  EXPECT_EQ(snapshot.max, 100u);
+  recorder.Reset();
+  snapshot = recorder.Snapshot();
+  EXPECT_EQ(snapshot.count, 0u);
+  EXPECT_EQ(snapshot.sum, 0u);
+  EXPECT_EQ(snapshot.max, 0u);
 }
 
 TEST(TelemetryTest, RecordsPerOpHistogramsAndRing) {
@@ -178,15 +195,19 @@ TEST(TelemetryTest, RecordsPerOpHistogramsAndRing) {
   telemetry.RecordCall(entry);
   telemetry.RecordCall(MakeEntry(2, 200));
   telemetry.RecordCall(MakeEntry(0, 1));
-  EXPECT_EQ(telemetry.OpHistogram(2).count(), 2u);
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
-  EXPECT_EQ(telemetry.OpHistogram(1).count(), 0u);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), 3u);
+  EXPECT_EQ(telemetry.OpHistogram(2).count, 2u);
+  EXPECT_EQ(telemetry.OpHistogram(2).sum, 300u);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
+  EXPECT_EQ(telemetry.OpHistogram(1).count, 0u);
+  EXPECT_EQ(telemetry.MergedHistogram().count, 3u);
   EXPECT_EQ(telemetry.ring().recorded(), 3u);
   // Out-of-range op: traced but not histogrammed.
   telemetry.RecordCall(MakeEntry(9, 5));
   EXPECT_EQ(telemetry.ring().recorded(), 4u);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), 3u);
+  EXPECT_EQ(telemetry.MergedHistogram().count, 3u);
+  EXPECT_EQ(telemetry.OpHistogram(9).count, 0u);
+  telemetry.ClearHistograms();
+  EXPECT_EQ(telemetry.MergedHistogram().count, 0u);
 }
 
 TEST(TelemetryTest, EnableSwitchesAreIndependent) {
@@ -196,20 +217,11 @@ TEST(TelemetryTest, EnableSwitchesAreIndependent) {
   EXPECT_TRUE(telemetry.any_enabled());  // histograms still on
   telemetry.RecordCall(MakeEntry(0, 1));
   EXPECT_EQ(telemetry.ring().recorded(), 0u);
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
   telemetry.set_histograms_enabled(false);
   EXPECT_FALSE(telemetry.any_enabled());
   telemetry.RecordCall(MakeEntry(0, 1));
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
-}
-
-TEST(TelemetryTest, SummaryTextListsOpsWithSamples) {
-  Telemetry telemetry(3);
-  telemetry.RecordCall(MakeEntry(1, 50));
-  const std::string summary = telemetry.SummaryText(
-      [](uint16_t op) { return std::string("op") + std::to_string(op); });
-  EXPECT_NE(summary.find("op1"), std::string::npos);
-  EXPECT_EQ(summary.find("op0"), std::string::npos);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
 }
 
 TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
@@ -230,7 +242,11 @@ TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
   constexpr uint64_t kTotal = uint64_t{kThreads} * kPerThread;
   EXPECT_EQ(telemetry.ring().recorded(), kTotal);
   EXPECT_EQ(telemetry.ring().dropped(), kTotal - 1024);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), kTotal);
+  // The striped recorder loses no sample: counts, sum and max are exact.
+  const HistogramSnapshot merged = telemetry.MergedHistogram();
+  EXPECT_EQ(merged.count, kTotal);
+  EXPECT_EQ(merged.sum, uint64_t{kThreads} * (kPerThread * (kPerThread - 1) / 2));
+  EXPECT_EQ(merged.max, uint64_t{kPerThread - 1});
   // Every sequence number in the snapshot is unique and the snapshot is
   // sorted oldest-first.
   const auto snapshot = telemetry.ring().Snapshot();

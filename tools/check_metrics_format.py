@@ -52,6 +52,10 @@ MONITOR_FAMILIES = [
     "tyche_domains_alive",
     "tyche_dispatch_latency_ns",
     "tyche_flight_captures_total",
+    # The per-(op, phase) histograms and their sample total render in every
+    # scrape, empty while the profiler is off.
+    "tyche_dispatch_phase_latency_ns",
+    "tyche_profiler_samples_total",
 ]
 
 # Families the fleet verification front end registers; the fleet-sweep CI
