@@ -10,6 +10,7 @@
 #include <fstream>
 #include <memory>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
@@ -105,18 +106,22 @@ inline void Banner(const char* title) {
   std::printf("\n=== %s ===\n", title);
 }
 
-// Prints the telemetry snapshot and audit-journal summary, then closes the
-// loop: exports the journal and verifies it offline (hash chain, checkpoint
-// signatures, shadow replay against the live capability-graph snapshot), the
-// same path a remote verifier would run on a captured journal.
+// Prints the call and trace totals and the audit-journal summary, then
+// closes the loop: exports the journal and verifies it offline (hash chain,
+// checkpoint signatures, shadow replay against the live capability-graph
+// snapshot), the same path a remote verifier would run on a captured journal.
 inline void DumpObservability(Monitor& monitor) {
   Banner("observability");
-  const TelemetrySnapshot snapshot = monitor.DumpTelemetry();
-  std::printf("%s", snapshot.ToString().c_str());
+  const TraceRing& ring = monitor.telemetry().ring();
+  std::printf("api calls: %llu total; trace: %llu recorded, %llu dropped\n",
+              static_cast<unsigned long long>(monitor.stats().TotalCalls()),
+              static_cast<unsigned long long>(ring.recorded()),
+              static_cast<unsigned long long>(ring.dropped()));
   std::printf("%s\n", monitor.audit().Summary().c_str());
+  const std::string graph_json = ExportCapabilityGraphJson(monitor.engine());
   const std::vector<uint8_t> wire = monitor.ExportJournal();
-  const Status verdict = RemoteVerifier::VerifyJournal(wire, monitor.public_key(),
-                                                       &snapshot.capability_graph_json);
+  const Status verdict =
+      RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json);
   std::printf("offline journal verification (%zu bytes): %s\n", wire.size(),
               verdict.ok() ? "chain + checkpoint signatures + graph replay OK"
                            : verdict.ToString().c_str());
@@ -164,7 +169,7 @@ inline void DumpObservability(Monitor& monitor) {
   write_artifact(
       "TYCHE_TRACE_OUT",
       ExportChromeTrace(
-          snapshot.trace, monitor.audit().journal().Records(),
+          ring.Snapshot(), monitor.audit().journal().Records(),
           [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); },
           [](uint8_t event) {
             return std::string(JournalEventName(static_cast<JournalEvent>(event)));

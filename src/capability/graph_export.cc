@@ -2,8 +2,9 @@
 
 #include "src/capability/graph_export.h"
 
-#include <cstdio>
 #include <sstream>
+
+#include "src/support/metrics.h"
 
 namespace tyche {
 
@@ -76,38 +77,6 @@ std::string EscapeGraphLabel(const std::string& text) {
     }
   }
   return out;
-}
-
-std::string EscapeJsonString(const std::string& text) {
-  std::ostringstream out;
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out << "\\\\";
-        break;
-      case '"':
-        out << "\\\"";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  return out.str();
 }
 
 std::string ExportCapabilityGraphDot(const CapabilityEngine& engine,

@@ -25,10 +25,6 @@ struct GraphExportOptions {
 // so raw content must not inject them.
 std::string EscapeGraphLabel(const std::string& text);
 
-// Escapes a string for use inside a JSON string literal (quotes, backslash,
-// control characters as \uXXXX).
-std::string EscapeJsonString(const std::string& text);
-
 // GraphViz DOT. Active nodes are solid, donated nodes dashed, revoked nodes
 // greyed out; edge direction is parent -> child (the delegation direction).
 std::string ExportCapabilityGraphDot(const CapabilityEngine& engine,

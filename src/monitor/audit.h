@@ -94,8 +94,6 @@ class AuditJournal {
   // --- Introspection / export ---
   // One-paragraph text: record/checkpoint counts, per-event tallies, head.
   std::string Summary() const;
-  // Causal span tree (flamegraph-style), ops named via ApiOpName.
-  std::string SpanTreeJson() const;
   // Checkpoints the head, then serializes the whole journal for transport.
   std::vector<uint8_t> Export();
 

@@ -4,10 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iomanip>
-#include <sstream>
 
-#include "src/capability/graph_export.h"
 #include "src/crypto/authenticated.h"
 #include "src/monitor/pmp_backend.h"
 #include "src/monitor/vtx_backend.h"
@@ -67,6 +64,9 @@ const char* ApiOpName(ApiOp op) {
   return "?";
 }
 
+namespace {
+
+// The `kind` label of each tyche_effects_total series.
 const char* CapEffectKindName(CapEffect::Kind kind) {
   switch (kind) {
     case CapEffect::Kind::kMapMemory:
@@ -84,6 +84,8 @@ const char* CapEffectKindName(CapEffect::Kind kind) {
   }
   return "?";
 }
+
+}  // namespace
 
 Monitor::Monitor(Machine* machine, AddrRange monitor_range, FrameAllocator metadata_pool,
                  SchnorrKeyPair key)
@@ -165,8 +167,8 @@ void Monitor::RegisterMetrics() {
   }
 
   // Pull callbacks for signals owned elsewhere. All of these are read under
-  // the api lock at export time (ExportMetrics quiesces like DumpTelemetry),
-  // so plain-field sources (backend stats, domain table) are safe.
+  // the api lock at export time (ExportMetrics quiesces dispatchers), so
+  // plain-field sources (backend stats, domain table) are safe.
   struct BackendField {
     const char* op;
     uint64_t BackendStats::*field;
@@ -215,11 +217,11 @@ void Monitor::RegisterMetrics() {
   metrics_.AddCallback("tyche_lock_contention_total",
                        "Conditional-guard acquisitions that had to block", true,
                        {{"class", "exclusive"}},
-                       [this] { return telemetry_.exclusive_contention_count(); });
+                       [this] { return telemetry_.exclusive_contention()->Value(); });
   metrics_.AddCallback("tyche_lock_contention_total",
                        "Conditional-guard acquisitions that had to block", true,
                        {{"class", "shared"}},
-                       [this] { return telemetry_.shared_contention_count(); });
+                       [this] { return telemetry_.shared_contention()->Value(); });
   metrics_.AddCallback(
       "tyche_fault_injections_fired_total",
       "Deterministic fault injections delivered over the process lifetime", true, {},
@@ -274,15 +276,15 @@ void Monitor::RegisterMetrics() {
   metrics_.AddCallback("tyche_lock_wait_ns_total",
                        "Nanoseconds spent blocked on contended conditional guards",
                        true, {{"class", "exclusive"}},
-                       [this] { return telemetry_.exclusive_wait_ns_total(); });
+                       [this] { return telemetry_.exclusive_wait_ns()->Value(); });
   metrics_.AddCallback("tyche_lock_wait_ns_total",
                        "Nanoseconds spent blocked on contended conditional guards",
                        true, {{"class", "shared"}},
-                       [this] { return telemetry_.shared_wait_ns_total(); });
+                       [this] { return telemetry_.shared_wait_ns()->Value(); });
   metrics_.AddCallback("tyche_lock_wait_ns_total",
                        "Nanoseconds spent blocked on contended conditional guards",
                        true, {{"class", "shard"}},
-                       [this] { return telemetry_.shard_wait_ns_total(); });
+                       [this] { return telemetry_.shard_wait_ns()->Value(); });
   metrics_.AddCallback(
       "tyche_journal_commit_waits_total",
       "Group-commit appends that blocked waiting for a combiner", true, {},
@@ -352,8 +354,8 @@ void Monitor::ResetStatCounters() {
 }
 
 std::string Monitor::ExportMetrics() const {
-  // Quiesce dispatchers like DumpTelemetry: callback metrics read plain
-  // fields (backend stats, domain table) that must not be mid-mutation.
+  // Quiesce dispatchers: callback metrics read plain fields (backend stats,
+  // domain table) that must not be mid-mutation.
   ConditionalUniqueLock api(api_mu_, concurrent_dispatch(), nullptr);
   return metrics_.ExportPrometheus();
 }
@@ -1230,87 +1232,6 @@ Result<MonitorIdentity> Monitor::Identity(uint64_t nonce) const {
   const uint32_t mask = (1u << Tpm::kPcrFirmware) | (1u << Tpm::kPcrMonitor);
   TYCHE_ASSIGN_OR_RETURN(identity.boot_quote, machine_->tpm().Quote(nonce, mask));
   return identity;
-}
-
-TelemetrySnapshot Monitor::DumpTelemetry() const {
-  // Quiesce dispatchers while copying: the snapshot must be a consistent cut.
-  ConditionalUniqueLock api(api_mu_, concurrent_dispatch(), nullptr);
-  TelemetrySnapshot snapshot;
-  snapshot.stats = stats();
-  snapshot.backend = backend_->stats();
-  snapshot.trace = telemetry_.ring().Snapshot();
-  snapshot.trace_recorded = telemetry_.ring().recorded();
-  snapshot.trace_dropped = telemetry_.ring().dropped();
-  snapshot.per_op_latency = telemetry_.AllHistograms();
-  snapshot.capability_graph_dot = ExportCapabilityGraphDot(engine_);
-  snapshot.capability_graph_json = ExportCapabilityGraphJson(engine_);
-  snapshot.journal_records = audit_.journal().size();
-  snapshot.journal_checkpoints = audit_.journal().checkpoint_count();
-  snapshot.journal_head = audit_.journal().head().ToHex();
-  snapshot.journal_summary = audit_.Summary();
-  snapshot.span_tree_json = audit_.SpanTreeJson();
-  snapshot.lock_exclusive_contention = telemetry_.exclusive_contention_count();
-  snapshot.lock_shared_contention = telemetry_.shared_contention_count();
-  const auto group = audit_.journal().group_commit_stats();
-  snapshot.journal_batches = group.batches;
-  snapshot.journal_batched_records = group.batched_records;
-  snapshot.journal_max_batch = group.max_batch;
-  return snapshot;
-}
-
-std::string TelemetrySnapshot::ToString() const {
-  std::ostringstream out;
-  out << "=== monitor telemetry ===\n";
-  out << "api calls: " << stats.TotalCalls() << " total\n";
-  out << "op                          calls   p50(ns)   p99(ns)   max(ns)\n";
-  for (size_t op = 0; op < static_cast<size_t>(ApiOp::kOpCount); ++op) {
-    if (stats.api_calls[op] == 0) {
-      continue;
-    }
-    std::string name = ApiOpName(static_cast<ApiOp>(op));
-    name.resize(26, ' ');
-    out << name << std::setw(7) << stats.api_calls[op];
-    if (op < per_op_latency.size() && per_op_latency[op].count > 0) {
-      const HistogramSnapshot& histogram = per_op_latency[op];
-      out << std::setw(10) << histogram.Percentile(50) << std::setw(10)
-          << histogram.Percentile(99) << std::setw(10) << histogram.max;
-    } else {
-      out << std::setw(10) << "-" << std::setw(10) << "-" << std::setw(10) << "-";
-    }
-    out << "\n";
-  }
-  out << "transitions=" << stats.transitions << " fast=" << stats.fast_transitions
-      << " shares=" << stats.shares << " grants=" << stats.grants
-      << " revokes=" << stats.revokes << " cascaded=" << stats.revocations_cascaded
-      << "\n";
-  out << "effects:";
-  constexpr CapEffect::Kind kKinds[] = {
-      CapEffect::Kind::kMapMemory,  CapEffect::Kind::kUnmapMemory,
-      CapEffect::Kind::kZeroMemory, CapEffect::Kind::kFlushCache,
-      CapEffect::Kind::kAttachUnit, CapEffect::Kind::kDetachUnit,
-  };
-  for (const CapEffect::Kind kind : kKinds) {
-    out << " " << CapEffectKindName(kind) << "="
-        << stats.effects_by_kind[static_cast<size_t>(kind)];
-  }
-  out << "\n";
-  out << "backend: syncs=" << backend.memory_syncs << " pages(map/unmap/prot)="
-      << backend.pages_mapped << "/" << backend.pages_unmapped << "/"
-      << backend.pages_protected << " pmp(recompiles/writes)=" << backend.pmp_recompiles
-      << "/" << backend.pmp_entry_writes << " tlb_shootdowns=" << backend.tlb_shootdowns
-      << " iommu_updates=" << backend.iommu_updates << " binds(slow/fast)="
-      << backend.core_binds << "/" << backend.fast_binds << "\n";
-  out << "trace: " << trace.size() << " held, " << trace_recorded << " recorded, "
-      << trace_dropped << " dropped\n";
-  out << "capability graph: " << capability_graph_json.size() << " bytes json, "
-      << capability_graph_dot.size() << " bytes dot\n";
-  out << "journal: " << journal_records << " records, " << journal_checkpoints
-      << " checkpoints, head=" << journal_head.substr(0, 16) << "\n";
-  out << "concurrency: contended(excl/shared)=" << lock_exclusive_contention << "/"
-      << lock_shared_contention << " group-commit(batches/records/max)="
-      << journal_batches << "/" << journal_batched_records << "/" << journal_max_batch
-      << "\n";
-  return out.str();
 }
 
 Result<bool> Monitor::AuditHardwareConsistency() {

@@ -79,17 +79,18 @@ struct GrantResult {
   std::vector<CapId> remainders;
 };
 
-// Aggregated view of the monitor's stat counters. Since PR 6 this is a
-// SNAPSHOT type: the live counters are per-core striped cells in the
-// metrics registry (src/support/metrics.h) so concurrent dispatchers never
-// bounce a shared cache line; Monitor::stats() sums the stripes on read.
+// Typed view of the monitor's stat counters. It is a SNAPSHOT type: the
+// live counters are per-core striped cells in the metrics registry
+// (src/support/metrics.h) so concurrent dispatchers never bounce a shared
+// cache line; Monitor::stats() sums the stripes on read. ExportMetrics()
+// renders the same cells as tyche_api_calls_total, tyche_effects_total, ...
 struct MonitorStats {
   uint64_t api_calls[static_cast<size_t>(ApiOp::kOpCount)] = {};
   uint64_t transitions = 0;
   uint64_t fast_transitions = 0;
   uint64_t revocations_cascaded = 0;
   // Crash recoveries survived. The ONLY counter that crosses a Recover():
-  // everything else is reset so post-recovery dumps never mix epochs.
+  // everything else is reset so post-recovery read-outs never mix epochs.
   uint64_t recoveries = 0;
 
   // Capability-engine events: successful policy mutations...
@@ -108,53 +109,6 @@ struct MonitorStats {
     }
     return total;
   }
-
-  uint64_t TotalEffects() const {
-    uint64_t total = 0;
-    for (const uint64_t count : effects_by_kind) {
-      total += count;
-    }
-    return total;
-  }
-};
-
-// The name telemetry dumps use for each effect-kind counter slot.
-const char* CapEffectKindName(CapEffect::Kind kind);
-
-// Everything an external verifier (or a bench) needs about what the monitor
-// did: per-op call counts and latency distributions, the trace of recent
-// ABI calls, the hardware-projection counters, and the capability graph a
-// judiciary would attest. Produced by Monitor::DumpTelemetry().
-struct TelemetrySnapshot {
-  MonitorStats stats;
-  BackendStats backend;
-  std::vector<TraceEntry> trace;                  // oldest first
-  uint64_t trace_recorded = 0;                    // total traced calls
-  uint64_t trace_dropped = 0;                     // overwritten by the ring
-  std::vector<HistogramSnapshot> per_op_latency;  // indexed by ApiOp
-  std::string capability_graph_dot;
-  std::string capability_graph_json;
-
-  // Audit-journal view: record/checkpoint counts, chain head (hex), the
-  // per-event summary paragraph, and the causal span tree.
-  uint64_t journal_records = 0;
-  uint64_t journal_checkpoints = 0;
-  std::string journal_head;
-  std::string journal_summary;
-  std::string span_tree_json;
-
-  // Concurrent-dispatch view: lock-contention counters (how often a
-  // conditional guard had to block) and journal group-commit batching. All
-  // zero in the default serial mode.
-  uint64_t lock_exclusive_contention = 0;
-  uint64_t lock_shared_contention = 0;
-  uint64_t journal_batches = 0;
-  uint64_t journal_batched_records = 0;
-  uint64_t journal_max_batch = 0;
-
-  // Human-readable summary: per-op table (count/p50/p99/max), effect and
-  // backend counters, trace ring occupancy, graph size.
-  std::string ToString() const;
 };
 
 class Monitor {
@@ -289,13 +243,13 @@ class Monitor {
   Result<bool> AuditHardwareConsistency();
 
   // --- Introspection (tests, benches, examples) ---
-  // Full observability snapshot; see TelemetrySnapshot. Cheap relative to
-  // the work it describes, but it does walk the capability tree.
-  TelemetrySnapshot DumpTelemetry() const;
-  // Prometheus text-exposition snapshot of every registered metric: stat
-  // counters, backend/journal/trace/contention signals, fault-injection
-  // hits, per-op latency histograms. Safe against concurrent dispatchers
-  // (quiesces via api_mu_ exactly like DumpTelemetry).
+  // The monitor's one aggregate read-out: a Prometheus text-exposition
+  // snapshot of every registered metric (stat counters, backend/journal/
+  // trace/contention signals, fault-injection hits, per-op and per-phase
+  // latency histograms). Safe against concurrent dispatchers (quiesces via
+  // api_mu_). Non-scalar artifacts are read from their owners:
+  // ExportCapabilityGraphJson/Dot(engine()), telemetry().ring(),
+  // telemetry().OpHistogram(), audit().journal().
   std::string ExportMetrics() const;
   // Checkpoints and serializes the audit journal (wire format for
   // RemoteVerifier::VerifyJournal / tools/journal_verify).

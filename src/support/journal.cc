@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "src/support/faults.h"
 #include "src/support/profiler.h"
@@ -68,13 +67,6 @@ class Reader {
   std::span<const uint8_t> bytes_;
   size_t pos_ = 0;
 };
-
-void AppendHex(std::ostringstream* out, const Digest& digest, size_t bytes) {
-  static const char kHex[] = "0123456789abcdef";
-  for (size_t i = 0; i < bytes && i < digest.bytes.size(); ++i) {
-    *out << kHex[digest.bytes[i] >> 4] << kHex[digest.bytes[i] & 0xf];
-  }
-}
 
 }  // namespace
 
@@ -627,80 +619,6 @@ Status Journal::VerifyChain(const std::vector<JournalRecord>& records,
                  "journal: tail not covered by a signed checkpoint");
   }
   return OkStatus();
-}
-
-std::string ExportSpanTreeJson(const std::vector<JournalRecord>& records,
-                               const std::function<std::string(uint8_t)>& op_name) {
-  // Group by span id, preserving first-seen order. Spans are small (one root
-  // op plus its cascade/effects), so a linear scan with an index map is fine.
-  std::vector<uint64_t> order;
-  std::vector<std::vector<const JournalRecord*>> groups;
-  for (const JournalRecord& record : records) {
-    size_t slot = order.size();
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (order[i] == record.span) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == order.size()) {
-      order.push_back(record.span);
-      groups.emplace_back();
-    }
-    groups[slot].push_back(&record);
-  }
-
-  std::ostringstream out;
-  out << "{\"spans\":[";
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i != 0) {
-      out << ",";
-    }
-    // Root label: the dispatch record's op when the span crossed Dispatch(),
-    // otherwise the first record's event (direct monitor call / boot).
-    std::string root;
-    for (const JournalRecord* record : groups[i]) {
-      if (record->event == static_cast<uint8_t>(JournalEvent::kDispatch)) {
-        root = op_name(record->op);
-        break;
-      }
-    }
-    if (root.empty()) {
-      root = JournalEventName(static_cast<JournalEvent>(groups[i][0]->event));
-    }
-    out << "{\"span\":" << order[i] << ",\"root\":\"" << root
-        << "\",\"records\":[";
-    for (size_t j = 0; j < groups[i].size(); ++j) {
-      const JournalRecord& record = *groups[i][j];
-      if (j != 0) {
-        out << ",";
-      }
-      out << "{\"seq\":" << record.seq << ",\"event\":\""
-          << JournalEventName(static_cast<JournalEvent>(record.event)) << "\"";
-      if (record.op != kJournalNoOp) {
-        out << ",\"op\":\"" << op_name(record.op) << "\"";
-      }
-      if (record.cap != 0) {
-        out << ",\"cap\":" << record.cap;
-      }
-      if (record.result != 0) {
-        out << ",\"error\":" << record.result;
-      }
-      out << "}";
-    }
-    out << "]}";
-  }
-  out << "]}";
-
-  // Head digest prefix so two span trees from the same chain are linkable.
-  if (!records.empty()) {
-    std::ostringstream head;
-    AppendHex(&head, records.back().link, 8);
-    std::string body = out.str();
-    body.pop_back();  // trailing '}'
-    return body + ",\"head\":\"" + head.str() + "\"}";
-  }
-  return out.str();
 }
 
 }  // namespace tyche

@@ -310,12 +310,6 @@ class Journal {
   std::array<uint64_t, static_cast<size_t>(JournalEvent::kEventCount)> event_counts_{};
 };
 
-// Flamegraph-style causal view: records grouped by span id in first-seen
-// order, each span labelled with its root operation (the kDispatch record's
-// op when present). `op_name` maps the ApiOp byte to a printable name.
-std::string ExportSpanTreeJson(const std::vector<JournalRecord>& records,
-                               const std::function<std::string(uint8_t)>& op_name);
-
 }  // namespace tyche
 
 #endif  // SRC_SUPPORT_JOURNAL_H_

@@ -115,6 +115,40 @@ std::string PromEscapeLabelValue(const std::string& text) {
   return out;
 }
 
+std::string EscapeJsonString(const std::string& text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string RenderSeriesName(const std::string& name, const MetricLabels& labels) {
   if (labels.empty()) {
     return name;

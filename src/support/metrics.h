@@ -206,6 +206,12 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 std::string PromEscapeHelp(const std::string& text);
 std::string PromEscapeLabelValue(const std::string& text);
 
+// Escapes a string for use inside a JSON string literal, losslessly: quotes,
+// backslash, \n/\r/\t, every other control character as \uXXXX. The one
+// escaper behind every JSON artifact (capability graph, Chrome trace,
+// flight-recorder dump).
+std::string EscapeJsonString(const std::string& text);
+
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -3,7 +3,6 @@
 #include "src/support/telemetry.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace tyche {
 
@@ -60,30 +59,6 @@ void TraceRing::Clear() {
   std::fill(ring_.begin(), ring_.end(), TraceEntry{});
 }
 
-std::string TraceRing::DumpJson(
-    const std::function<std::string(uint16_t)>& op_name) const {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const TraceEntry& entry : Snapshot()) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"seq\":" << entry.seq << ",\"op\":\"" << op_name(entry.op)
-        << "\",\"core\":" << entry.core << ",\"domain\":";
-    if (entry.domain == kTraceNoDomain) {
-      out << "null";
-    } else {
-      out << entry.domain;
-    }
-    out << ",\"span\":" << entry.span << ",\"args_digest\":" << entry.args_digest
-        << ",\"error\":" << entry.error << ",\"duration_ns\":" << entry.duration_ns << "}";
-  }
-  out << "]";
-  return out.str();
-}
-
 Telemetry::Telemetry(size_t op_count, size_t ring_capacity)
     : op_count_(op_count),
       per_op_(std::make_unique<StripedHistogram[]>(op_count)),
@@ -106,15 +81,6 @@ void Telemetry::RecordCall(const TraceEntry& entry) {
 
 HistogramSnapshot Telemetry::OpHistogram(size_t op) const {
   return op < op_count_ ? per_op_[op].Snapshot() : HistogramSnapshot{};
-}
-
-std::vector<HistogramSnapshot> Telemetry::AllHistograms() const {
-  std::vector<HistogramSnapshot> histograms;
-  histograms.reserve(op_count_);
-  for (size_t op = 0; op < op_count_; ++op) {
-    histograms.push_back(per_op_[op].Snapshot());
-  }
-  return histograms;
 }
 
 HistogramSnapshot Telemetry::MergedHistogram() const {

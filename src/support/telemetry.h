@@ -17,8 +17,8 @@
 //    production hot paths.
 //
 // Everything here is deliberately independent of the monitor's types: the
-// per-op dimension is just an index, named via a caller-provided callback
-// when dumping. This keeps src/support free of upward dependencies.
+// per-op dimension is just an index, named by whoever renders it. This keeps
+// src/support free of upward dependencies.
 
 #ifndef SRC_SUPPORT_TELEMETRY_H_
 #define SRC_SUPPORT_TELEMETRY_H_
@@ -26,10 +26,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/support/metrics.h"
@@ -80,9 +78,6 @@ class TraceRing {
   uint64_t dropped() const;   // of those, how many overwrote an older entry
   void Clear();
 
-  // JSON array of entry objects.
-  std::string DumpJson(const std::function<std::string(uint16_t)>& op_name) const;
-
  private:
   const size_t capacity_;
   std::atomic<bool> enabled_{true};
@@ -120,7 +115,6 @@ class Telemetry {
 
   // Snapshots of the per-op histograms (empty for an out-of-range op).
   HistogramSnapshot OpHistogram(size_t op) const;
-  std::vector<HistogramSnapshot> AllHistograms() const;
   // All per-op histograms merged into one.
   HistogramSnapshot MergedHistogram() const;
   void ClearHistograms();
@@ -132,8 +126,6 @@ class Telemetry {
   // blocking threads from fighting over the counter line too.
   StripedCounter* exclusive_contention() { return &exclusive_contention_; }
   StripedCounter* shared_contention() { return &shared_contention_; }
-  uint64_t exclusive_contention_count() const { return exclusive_contention_.Value(); }
-  uint64_t shared_contention_count() const { return shared_contention_.Value(); }
 
   // Wait-TIME companions to the counters above: total nanoseconds threads
   // spent blocked in each guard class (api exclusive, api shared, domain
@@ -143,9 +135,6 @@ class Telemetry {
   StripedCounter* exclusive_wait_ns() { return &exclusive_wait_ns_; }
   StripedCounter* shared_wait_ns() { return &shared_wait_ns_; }
   StripedCounter* shard_wait_ns() { return &shard_wait_ns_; }
-  uint64_t exclusive_wait_ns_total() const { return exclusive_wait_ns_.Value(); }
-  uint64_t shared_wait_ns_total() const { return shared_wait_ns_.Value(); }
-  uint64_t shard_wait_ns_total() const { return shard_wait_ns_.Value(); }
 
  private:
   const size_t op_count_;

@@ -12,30 +12,6 @@ namespace tyche {
 
 namespace {
 
-void AppendJsonString(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 std::string Micros(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
@@ -49,9 +25,8 @@ void EmitMetadata(std::ostringstream& out, bool* first, int64_t pid, int64_t tid
   }
   *first = false;
   out << "{\"name\":\"" << kind << "\",\"ph\":\"M\",\"ts\":0,\"pid\":" << pid
-      << ",\"tid\":" << tid << ",\"args\":{\"name\":";
-  AppendJsonString(out, value);
-  out << "}}";
+      << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << EscapeJsonString(value)
+      << "\"}}";
 }
 
 struct SliceRef {
@@ -105,9 +80,9 @@ std::string ExportChromeTrace(const std::vector<TraceEntry>& trace,
       out << ",\n";
     }
     first = false;
-    out << "{\"name\":";
-    AppendJsonString(out, op_name ? op_name(entry.op) : std::to_string(entry.op));
-    out << ",\"ph\":\"X\",\"ts\":" << Micros(ts) << ",\"dur\":" << Micros(dur)
+    out << "{\"name\":\""
+        << EscapeJsonString(op_name ? op_name(entry.op) : std::to_string(entry.op))
+        << "\",\"ph\":\"X\",\"ts\":" << Micros(ts) << ",\"dur\":" << Micros(dur)
         << ",\"pid\":1,\"tid\":" << entry.core << ",\"args\":{\"span\":" << entry.span
         << ",\"seq\":" << entry.seq << ",\"domain\":" << entry.domain
         << ",\"error\":" << entry.error << ",\"args_digest\":\"0x" << std::hex
@@ -141,10 +116,10 @@ std::string ExportChromeTrace(const std::vector<TraceEntry>& trace,
       out << ",\n";
     }
     first = false;
-    out << "{\"name\":";
-    AppendJsonString(out, event_name ? event_name(record.event)
-                                     : std::to_string(record.event));
-    out << ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << Micros(ts) << ",\"pid\":" << pid
+    out << "{\"name\":\""
+        << EscapeJsonString(event_name ? event_name(record.event)
+                                       : std::to_string(record.event))
+        << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << Micros(ts) << ",\"pid\":" << pid
         << ",\"tid\":" << tid << ",\"args\":{\"span\":" << record.span
         << ",\"seq\":" << record.seq << ",\"domain\":" << record.domain
         << ",\"cap\":" << record.cap << ",\"result\":" << record.result << "}}";
@@ -173,9 +148,8 @@ std::string ExportChromeTrace(const std::vector<TraceEntry>& trace,
       out << ",\n";
     }
     first = false;
-    out << "{\"name\":";
-    AppendJsonString(out, mark.name);
-    out << ",\"ph\":\"i\",\"s\":\"g\",\"ts\":" << Micros(ts) << ",\"pid\":1,\"tid\":"
+    out << "{\"name\":\"" << EscapeJsonString(mark.name)
+        << "\",\"ph\":\"i\",\"s\":\"g\",\"ts\":" << Micros(ts) << ",\"pid\":1,\"tid\":"
         << tid << ",\"args\":{\"span\":" << mark.span << ",\"ns\":" << mark.duration_ns
         << "}}";
   }
@@ -296,12 +270,39 @@ class JsonParser {
           case '/':
             out += '/';
             break;
+          case 'b':
+            out += '\b';
+            break;
+          case 'f':
+            out += '\f';
+            break;
           case 'n':
             out += '\n';
+            break;
+          case 'r':
+            out += '\r';
             break;
           case 't':
             out += '\t';
             break;
+          case 'u': {
+            TYCHE_ASSIGN_OR_RETURN(uint32_t code, ParseHex4());
+            if (code >= 0xd800 && code < 0xdc00) {  // high surrogate: needs its pair
+              if (text_.compare(pos_, 2, "\\u") != 0) {
+                return Fail("unpaired surrogate");
+              }
+              pos_ += 2;
+              TYCHE_ASSIGN_OR_RETURN(const uint32_t low, ParseHex4());
+              if (low < 0xdc00 || low >= 0xe000) {
+                return Fail("unpaired surrogate");
+              }
+              code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            } else if (code >= 0xdc00 && code < 0xe000) {
+              return Fail("unpaired surrogate");
+            }
+            AppendUtf8(code, &out);
+            break;
+          }
           default:
             return Fail(std::string("unsupported escape \\") + escaped);
         }
@@ -310,6 +311,36 @@ class JsonParser {
       }
     }
     return Fail("unterminated string");
+  }
+
+  // The four hex digits of a \uXXXX escape.
+  Result<uint32_t> ParseHex4() {
+    const std::string hex = text_.substr(pos_, 4);
+    if (hex.size() != 4 || !std::all_of(hex.begin(), hex.end(), [](unsigned char d) {
+          return std::isxdigit(d) != 0;
+        })) {
+      return Fail("bad \\u escape");
+    }
+    pos_ += 4;
+    return static_cast<uint32_t>(std::stoul(hex, nullptr, 16));
+  }
+
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xc0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xe0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    } else {
+      *out += static_cast<char>(0xf0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    }
   }
 
   Result<JsonValue> ParseNumber() {

@@ -2,7 +2,7 @@
 // Chrome trace_event exporter (DESIGN.md §6 "Metrics & export").
 //
 // Converts the monitor's TraceRing (wall-clock dispatch spans) plus the
-// audit journal's span tree (per-record causal events) into the Chrome
+// audit journal's records (per-record causal events) into the Chrome
 // trace-event JSON format, loadable in chrome://tracing / Perfetto:
 //
 //  - pid 1 "tyche monitor (dispatch)": one complete ("X") slice per trace

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "src/support/metrics.h"
+
 namespace tyche {
 namespace {
 

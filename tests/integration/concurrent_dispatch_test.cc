@@ -14,16 +14,19 @@
 
 #include <atomic>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/capability/engine.h"
+#include "src/capability/graph_export.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/dispatch.h"
 #include "src/monitor/recovery.h"
 #include "src/support/faults.h"
 #include "tests/testing/booted_machine.h"
+#include "tests/testing/scrape.h"
 
 namespace tyche {
 namespace {
@@ -117,30 +120,36 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
 
   // The concurrent run must leave the same kind of evidence a serial run
   // does: a verifying chain whose replay reproduces the live engine.
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+  const std::string scrape = monitor_->ExportMetrics();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  ASSERT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(),
-                                            &snapshot.capability_graph_json)
-                  .ok());
+  ASSERT_TRUE(
+      RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
   const std::vector<JournalRecord> records = monitor_->audit().journal().Records();
   CapabilityEngine shadow;
   const auto replay = ReplayJournalInto(&shadow, std::span<const JournalRecord>(records));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(EngineDigest(shadow).ToHex(), EngineDigest(monitor_->engine()).ToHex());
 
-  // Group commit accounted for every record, and the snapshot surfaces the
-  // new concurrency counters.
+  // Group commit accounted for every record, and the scrape carries the
+  // concurrency counters exactly as their owners hold them.
   const auto stats = monitor_->audit().journal().group_commit_stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batched_records, monitor_->audit().journal().size());
   EXPECT_GE(stats.max_batch, 1u);
-  EXPECT_EQ(snapshot.journal_batches, stats.batches);
-  EXPECT_EQ(snapshot.journal_batched_records, stats.batched_records);
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_journal_group_commit_batches_total"), stats.batches);
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_journal_group_commit_records_total"),
+            stats.batched_records);
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_journal_group_commit_max_batch"), stats.max_batch);
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_lock_contention_total{class=\"exclusive\"}"),
+            monitor_->telemetry().exclusive_contention()->Value());
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_lock_contention_total{class=\"shared\"}"),
+            monitor_->telemetry().shared_contention()->Value());
 
   // The striped latency recorder lost no sample: one per Dispatch() call.
   HistogramSnapshot merged;
-  for (const HistogramSnapshot& histogram : snapshot.per_op_latency) {
-    merged.Merge(histogram);
+  for (size_t op = 0; op < monitor_->telemetry().op_count(); ++op) {
+    merged.Merge(monitor_->telemetry().OpHistogram(op));
   }
   EXPECT_EQ(merged.count, dispatches_.load());
   EXPECT_EQ(merged.count, monitor_->telemetry().MergedHistogram().count);
@@ -187,11 +196,10 @@ TEST_F(ConcurrentDispatchTest, DestroyDomainPartialPurgeJournalsCommittedPrefix)
   EXPECT_FALSE(monitor_->engine().IsRegistered(child));
   EXPECT_TRUE(monitor_->engine().DomainCaps(child).empty());
 
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  EXPECT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(),
-                                            &snapshot.capability_graph_json)
-                  .ok());
+  EXPECT_TRUE(
+      RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
 }
 
 TEST_F(ConcurrentDispatchTest, ConcurrencyAndSnapshotsAreMutuallyExclusive) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
@@ -204,14 +205,13 @@ void ExpectRecoveredMonitorIsSound(Monitor* monitor, const Digest& oracle,
   const auto consistent = monitor->AuditHardwareConsistency();
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
   EXPECT_TRUE(*consistent) << "hardware is not a projection of the tree";
-  const TelemetrySnapshot dump = monitor->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor->engine());
   const std::vector<uint8_t> wire = monitor->ExportJournal();
   const Status verified =
       anchor_snapshot.empty()
-          ? RemoteVerifier::VerifyJournal(wire, monitor->public_key(),
-                                          &dump.capability_graph_json)
+          ? RemoteVerifier::VerifyJournal(wire, monitor->public_key(), &graph_json)
           : VerifyJournalWithSnapshot(wire, anchor_snapshot, monitor->public_key(),
-                                      dump.capability_graph_json);
+                                      graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 

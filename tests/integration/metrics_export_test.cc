@@ -1,6 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Fleet observability end-to-end: every signal DumpTelemetry() reports must
-// be reachable through Monitor::ExportMetrics() (the Prometheus scrape), the
+// Fleet observability end-to-end: every monitor signal must be reachable
+// through Monitor::ExportMetrics() (the Prometheus scrape) with the value its
+// owner (stats(), the trace ring, the journal, the backend) holds, the
 // flight recorder must capture fault-injected dispatch failures with the
 // causal span id of the failing call, and the counter kill switch must
 // freeze accounting without breaking the scrape.
@@ -13,6 +14,7 @@
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
 #include "tests/testing/booted_machine.h"
+#include "tests/testing/scrape.h"
 
 namespace tyche {
 namespace {
@@ -37,8 +39,8 @@ class MetricsExportTest : public BootedMachineTest {
   }
 
   // Runs create -> share -> revoke plus a few failing take-interrupts, the
-  // same shape the telemetry-observability test validates against
-  // DumpTelemetry().
+  // same shape the telemetry-observability test validates against each
+  // signal's owner.
   void RunWorkload() {
     const ApiResult created = Call(0, ApiOp::kCreateDomain);
     ASSERT_EQ(created.error, 0u);
@@ -76,15 +78,10 @@ class MetricsExportTest : public BootedMachineTest {
     }
   }
 
-  // One exposed sample line, exactly as the scrape renders it.
-  static std::string Sample(const std::string& series, uint64_t value) {
-    return series + " " + std::to_string(value) + "\n";
-  }
 };
 
-TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
+TEST_F(MetricsExportTest, ExportAgreesWithEverySignalOwner) {
   RunWorkload();
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
   const std::string text = monitor_->ExportMetrics();
 
   // Every family the registry promises (and CI's check_metrics_format.py
@@ -110,52 +107,64 @@ TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
       "tyche_fault_injection_active",
       "tyche_domains_alive",
       "tyche_flight_captures_total",
+      "tyche_dispatch_phase_latency_ns",
+      "tyche_profiler_samples_total",
   };
   for (const char* family : kFamilies) {
     EXPECT_NE(text.find(std::string("# TYPE ") + family + " "), std::string::npos)
         << "family missing from scrape: " << family;
   }
 
-  // Counter samples agree with the stats snapshot the old interface reports.
-  const MonitorStats& stats = snapshot.stats;
+  // Registry counters agree with the typed stats() view.
+  const MonitorStats stats = monitor_->stats();
   const auto op_calls = [&stats](ApiOp op) {
     return stats.api_calls[static_cast<size_t>(op)];
   };
-  EXPECT_NE(text.find(Sample("tyche_api_calls_total{op=\"create_domain\"}",
-                             op_calls(ApiOp::kCreateDomain))),
-            std::string::npos);
-  EXPECT_NE(text.find(Sample("tyche_api_calls_total{op=\"take_interrupt\"}",
-                             op_calls(ApiOp::kTakeInterrupt))),
-            std::string::npos);
-  EXPECT_NE(text.find(Sample("tyche_capability_ops_total{kind=\"share\"}", stats.shares)),
-            std::string::npos);
-  EXPECT_NE(
-      text.find(Sample("tyche_capability_ops_total{kind=\"revoke\"}", stats.revokes)),
-      std::string::npos);
-  EXPECT_NE(text.find(Sample("tyche_revocations_cascaded_total",
-                             stats.revocations_cascaded)),
-            std::string::npos);
+  EXPECT_EQ(ScrapeValue(text, "tyche_api_calls_total{op=\"create_domain\"}"),
+            op_calls(ApiOp::kCreateDomain));
+  EXPECT_EQ(ScrapeValue(text, "tyche_api_calls_total{op=\"take_interrupt\"}"),
+            op_calls(ApiOp::kTakeInterrupt));
+  EXPECT_EQ(ScrapeValue(text, "tyche_capability_ops_total{kind=\"share\"}"), stats.shares);
+  EXPECT_EQ(ScrapeValue(text, "tyche_capability_ops_total{kind=\"revoke\"}"), stats.revokes);
+  EXPECT_EQ(ScrapeValue(text, "tyche_revocations_cascaded_total"),
+            stats.revocations_cascaded);
+  EXPECT_EQ(ScrapeValue(text, "tyche_recoveries_total"), stats.recoveries);
+  EXPECT_EQ(ScrapeValue(text, "tyche_effects_total{kind=\"map\"}"),
+            stats.effects_by_kind[static_cast<size_t>(CapEffect::Kind::kMapMemory)]);
 
-  // Pull callbacks agree with their owners: trace accounting, journal chain
-  // length, live-domain gauge, backend projection counters.
-  EXPECT_NE(text.find(Sample("tyche_trace_recorded_total", snapshot.trace_recorded)),
-            std::string::npos);
-  EXPECT_NE(text.find(Sample("tyche_domains_alive", monitor_->num_domains_alive())),
-            std::string::npos);
-  EXPECT_NE(text.find(Sample("tyche_journal_records", monitor_->audit().journal().size())),
-            std::string::npos);
+  // Pull callbacks agree with their owners: trace ring, journal, lock
+  // guards, live-domain table, backend projection counters.
+  const TraceRing& ring = monitor_->telemetry().ring();
+  EXPECT_EQ(ScrapeValue(text, "tyche_trace_recorded_total"), ring.recorded());
+  EXPECT_EQ(ScrapeValue(text, "tyche_trace_dropped_total"), ring.dropped());
+  const Journal& journal = monitor_->audit().journal();
+  EXPECT_EQ(ScrapeValue(text, "tyche_journal_records"), journal.size());
+  EXPECT_EQ(ScrapeValue(text, "tyche_journal_checkpoints"), journal.checkpoint_count());
+  const auto group = journal.group_commit_stats();
+  EXPECT_EQ(ScrapeValue(text, "tyche_journal_group_commit_batches_total"), group.batches);
+  EXPECT_EQ(ScrapeValue(text, "tyche_journal_group_commit_records_total"),
+            group.batched_records);
+  EXPECT_EQ(ScrapeValue(text, "tyche_journal_group_commit_max_batch"), group.max_batch);
+  EXPECT_EQ(ScrapeValue(text, "tyche_lock_contention_total{class=\"exclusive\"}"),
+            monitor_->telemetry().exclusive_contention()->Value());
+  EXPECT_EQ(ScrapeValue(text, "tyche_lock_contention_total{class=\"shared\"}"),
+            monitor_->telemetry().shared_contention()->Value());
+  EXPECT_EQ(ScrapeValue(text, "tyche_domains_alive"), monitor_->num_domains_alive());
   const std::string backend_series = std::string("tyche_backend_ops_total{backend=\"") +
                                      monitor_->backend().name() +
                                      "\",op=\"memory_syncs\"}";
-  EXPECT_NE(text.find(Sample(backend_series, snapshot.backend.memory_syncs)),
-            std::string::npos);
+  EXPECT_EQ(ScrapeValue(text, backend_series), monitor_->backend().stats().memory_syncs);
 
   // The per-op latency histogram made it across: the share op's histogram
-  // rendered with its sample count and a terminating +Inf bucket.
-  EXPECT_NE(text.find("tyche_dispatch_latency_ns_count{op=\"share_memory\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("tyche_dispatch_latency_ns_bucket{op=\"share_memory\",le=\"+Inf\"} 1\n"),
-            std::string::npos);
+  // rendered with its owner's sample count and a terminating +Inf bucket.
+  const uint64_t shares =
+      monitor_->telemetry().OpHistogram(static_cast<size_t>(ApiOp::kShareMemory)).count;
+  EXPECT_EQ(shares, 1u);
+  EXPECT_EQ(ScrapeValue(text, "tyche_dispatch_latency_ns_count{op=\"share_memory\"}"),
+            shares);
+  EXPECT_EQ(ScrapeValue(text,
+                        "tyche_dispatch_latency_ns_bucket{op=\"share_memory\",le=\"+Inf\"}"),
+            shares);
 }
 
 TEST_F(MetricsExportTest, DispatchHistogramsExportTheLog2Ladder) {
@@ -233,9 +242,9 @@ TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {
 
   // The failing dispatch is the newest trace entry; the flight record must
   // carry the SAME span id, tying the post-mortem to the causal trail.
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
-  ASSERT_FALSE(snapshot.trace.empty());
-  const TraceEntry& failing = snapshot.trace.back();
+  const std::vector<TraceEntry> trace = monitor_->telemetry().ring().Snapshot();
+  ASSERT_FALSE(trace.empty());
+  const TraceEntry& failing = trace.back();
   ASSERT_EQ(failing.op, static_cast<uint16_t>(ApiOp::kShareMemory));
   ASSERT_NE(failing.span, 0u);
 

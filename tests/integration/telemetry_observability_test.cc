@@ -50,49 +50,48 @@ TEST_F(TelemetryObservabilityTest, TraceMatchesIssuedOps) {
 
   ASSERT_EQ(Call(0, ApiOp::kRevoke, share_cap).error, 0u);
 
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
-
   // The trace holds exactly the three issued ops, in order, attributed to
   // the OS domain on core 0, all successful.
-  ASSERT_EQ(snapshot.trace.size(), 3u);
+  const TraceRing& ring = monitor_->telemetry().ring();
+  const std::vector<TraceEntry> trace = ring.Snapshot();
+  ASSERT_EQ(trace.size(), 3u);
   const ApiOp expected[] = {ApiOp::kCreateDomain, ApiOp::kShareMemory, ApiOp::kRevoke};
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(snapshot.trace[i].op, static_cast<uint16_t>(expected[i]));
-    EXPECT_EQ(snapshot.trace[i].core, 0u);
-    EXPECT_EQ(snapshot.trace[i].domain, os_domain_);
-    EXPECT_EQ(snapshot.trace[i].error, 0u);
-    EXPECT_EQ(snapshot.trace[i].seq, i);
+    EXPECT_EQ(trace[i].op, static_cast<uint16_t>(expected[i]));
+    EXPECT_EQ(trace[i].core, 0u);
+    EXPECT_EQ(trace[i].domain, os_domain_);
+    EXPECT_EQ(trace[i].error, 0u);
+    EXPECT_EQ(trace[i].seq, i);
   }
   // Different registers produced different argument digests.
-  EXPECT_NE(snapshot.trace[1].args_digest, snapshot.trace[2].args_digest);
-  EXPECT_EQ(snapshot.trace_recorded, 3u);
-  EXPECT_EQ(snapshot.trace_dropped, 0u);
+  EXPECT_NE(trace[1].args_digest, trace[2].args_digest);
+  EXPECT_EQ(ring.recorded(), 3u);
+  EXPECT_EQ(ring.dropped(), 0u);
 
   // Per-op latency histograms carry one sample each.
-  const auto op_index = [](ApiOp op) { return static_cast<size_t>(op); };
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kCreateDomain)].count, 1u);
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kShareMemory)].count, 1u);
-  EXPECT_EQ(snapshot.per_op_latency[op_index(ApiOp::kRevoke)].count, 1u);
-  EXPECT_GT(snapshot.per_op_latency[op_index(ApiOp::kShareMemory)].Percentile(99), 0u);
+  const auto histogram = [this](ApiOp op) {
+    return monitor_->telemetry().OpHistogram(static_cast<size_t>(op));
+  };
+  EXPECT_EQ(histogram(ApiOp::kCreateDomain).count, 1u);
+  EXPECT_EQ(histogram(ApiOp::kShareMemory).count, 1u);
+  EXPECT_EQ(histogram(ApiOp::kRevoke).count, 1u);
+  EXPECT_GT(histogram(ApiOp::kShareMemory).Percentile(99), 0u);
 
   // Engine-event and effect counters: one share, one revoke that cascaded,
   // at least one map and one unmap effect.
-  EXPECT_EQ(snapshot.stats.shares, 1u);
-  EXPECT_EQ(snapshot.stats.revokes, 1u);
-  EXPECT_GE(snapshot.stats.revocations_cascaded, 1u);
+  const MonitorStats stats = monitor_->stats();
+  EXPECT_EQ(stats.shares, 1u);
+  EXPECT_EQ(stats.revokes, 1u);
+  EXPECT_GE(stats.revocations_cascaded, 1u);
   using Kind = CapEffect::Kind;
-  EXPECT_GE(snapshot.stats.effects_by_kind[static_cast<size_t>(Kind::kMapMemory)], 1u);
-  EXPECT_GE(snapshot.stats.effects_by_kind[static_cast<size_t>(Kind::kUnmapMemory)], 1u);
+  EXPECT_GE(stats.effects_by_kind[static_cast<size_t>(Kind::kMapMemory)], 1u);
+  EXPECT_GE(stats.effects_by_kind[static_cast<size_t>(Kind::kUnmapMemory)], 1u);
 
   // The backend did real work projecting those policies.
-  EXPECT_GE(snapshot.backend.memory_syncs, 2u);  // share + revoke
-  EXPECT_GE(snapshot.backend.pages_mapped, window.size / kPageSize);
-  EXPECT_GE(snapshot.backend.pages_unmapped, window.size / kPageSize);
-
-  // The summary is printable and names the ops.
-  const std::string text = snapshot.ToString();
-  EXPECT_NE(text.find("share_memory"), std::string::npos);
-  EXPECT_NE(text.find("revoke"), std::string::npos);
+  const BackendStats& backend = monitor_->backend().stats();
+  EXPECT_GE(backend.memory_syncs, 2u);  // share + revoke
+  EXPECT_GE(backend.pages_mapped, window.size / kPageSize);
+  EXPECT_GE(backend.pages_unmapped, window.size / kPageSize);
 }
 
 TEST_F(TelemetryObservabilityTest, CapabilityGraphExportCarriesRefcounts) {
@@ -105,17 +104,18 @@ TEST_F(TelemetryObservabilityTest, CapabilityGraphExportCarriesRefcounts) {
            Perms::kRW, Pack(CapRights::kAll, 0));
   ASSERT_EQ(shared.error, 0u);
 
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
   // DOT: valid digraph with lineage edges and the shared window at
   // refcount 2 (OS + child both hold the bytes).
-  EXPECT_NE(snapshot.capability_graph_dot.find("digraph capabilities"), std::string::npos);
-  EXPECT_NE(snapshot.capability_graph_dot.find("->"), std::string::npos);
-  EXPECT_NE(snapshot.capability_graph_dot.find("refcount=2"), std::string::npos);
+  const std::string dot = ExportCapabilityGraphDot(monitor_->engine());
+  EXPECT_NE(dot.find("digraph capabilities"), std::string::npos);
+  EXPECT_NE(dot.find("->"), std::string::npos);
+  EXPECT_NE(dot.find("refcount=2"), std::string::npos);
   // JSON: parseable structure with nodes, edges, and a ref_count 2 node.
-  EXPECT_NE(snapshot.capability_graph_json.find("\"nodes\":["), std::string::npos);
-  EXPECT_NE(snapshot.capability_graph_json.find("\"edges\":["), std::string::npos);
-  EXPECT_NE(snapshot.capability_graph_json.find("\"ref_count\":2"), std::string::npos);
-  EXPECT_NE(snapshot.capability_graph_json.find("\"origin\":\"share\""), std::string::npos);
+  const std::string json = ExportCapabilityGraphJson(monitor_->engine());
+  EXPECT_NE(json.find("\"nodes\":["), std::string::npos);
+  EXPECT_NE(json.find("\"edges\":["), std::string::npos);
+  EXPECT_NE(json.find("\"ref_count\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"origin\":\"share\""), std::string::npos);
 
   // Revoking the share removes the node from the active-only export but
   // keeps it (marked revoked) in the full lineage history.
@@ -131,12 +131,12 @@ TEST_F(TelemetryObservabilityTest, TelemetryOffRecordsNothing) {
   monitor_->telemetry().set_trace_enabled(false);
   monitor_->telemetry().set_histograms_enabled(false);
   ASSERT_EQ(Call(0, ApiOp::kCreateDomain).error, 0u);
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
-  EXPECT_TRUE(snapshot.trace.empty());
-  EXPECT_EQ(snapshot.per_op_latency[static_cast<size_t>(ApiOp::kCreateDomain)].count, 0u);
+  const size_t create = static_cast<size_t>(ApiOp::kCreateDomain);
+  EXPECT_TRUE(monitor_->telemetry().ring().Snapshot().empty());
+  EXPECT_EQ(monitor_->telemetry().OpHistogram(create).count, 0u);
   // Counters still work: they are part of enforcement accounting, not the
   // optional tracing layer.
-  EXPECT_EQ(snapshot.stats.api_calls[static_cast<size_t>(ApiOp::kCreateDomain)], 1u);
+  EXPECT_EQ(monitor_->stats().api_calls[create], 1u);
 }
 
 TEST_F(TelemetryObservabilityTest, RingOverflowCountsDrops) {
@@ -148,12 +148,13 @@ TEST_F(TelemetryObservabilityTest, RingOverflowCountsDrops) {
     ASSERT_EQ(Call(0, ApiOp::kTakeInterrupt).error,
               static_cast<uint64_t>(ErrorCode::kNotFound));
   }
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
-  EXPECT_EQ(snapshot.trace.size(), capacity);
-  EXPECT_EQ(snapshot.trace_recorded, burst);
-  EXPECT_EQ(snapshot.trace_dropped, 64u);
+  const TraceRing& ring = monitor_->telemetry().ring();
+  const std::vector<TraceEntry> trace = ring.Snapshot();
+  EXPECT_EQ(trace.size(), capacity);
+  EXPECT_EQ(ring.recorded(), burst);
+  EXPECT_EQ(ring.dropped(), 64u);
   // Failed calls are traced too, with their error code.
-  EXPECT_EQ(snapshot.trace.back().error, static_cast<uint64_t>(ErrorCode::kNotFound));
+  EXPECT_EQ(trace.back().error, static_cast<uint64_t>(ErrorCode::kNotFound));
 }
 
 TEST_F(TelemetryObservabilityTest, SealedShareDenialLogsWarn) {

@@ -11,13 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
 #include "tests/testing/booted_machine.h"
+#include "tests/testing/scrape.h"
 
 namespace tyche {
 namespace {
@@ -209,10 +212,9 @@ TEST(RecoveryTest, SnapshotPlusSuffixRebuildsTheExactEngine) {
   // The monitor keeps working and its journal keeps verifying: new records
   // extend the restored chain under the same key.
   EXPECT_TRUE(bed->monitor->CreateDomain(0, "post-crash").ok());
-  const TelemetrySnapshot dump = bed->monitor->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
   const Status verified = RemoteVerifier::VerifyJournal(
-      bed->monitor->ExportJournal(), bed->monitor->public_key(),
-      &dump.capability_graph_json);
+      bed->monitor->ExportJournal(), bed->monitor->public_key(), &graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
@@ -225,23 +227,26 @@ TEST(RecoveryTest, TelemetryResetsButTheRecoveryIsMarked) {
   ApiRegs regs;
   regs.op = static_cast<uint64_t>(ApiOp::kCreateDomain);
   EXPECT_EQ(Dispatch(bed->monitor.get(), 0, regs).error, 0u);
-  const TelemetrySnapshot before = bed->monitor->DumpTelemetry();
-  EXPECT_GT(before.stats.TotalCalls(), 0u);
-  EXPECT_FALSE(before.trace.empty());
+  EXPECT_GT(bed->monitor->stats().TotalCalls(), 0u);
+  EXPECT_FALSE(bed->monitor->telemetry().ring().Snapshot().empty());
 
   const auto snapshot = bed->store.Latest();
   ASSERT_TRUE(snapshot.ok());
   ASSERT_TRUE(CrashAndRecover(*bed, snapshot->bytes).ok());
 
-  // Counters and the trace ring restart -- a post-recovery dump must never
-  // mix epochs -- but the recovery itself is marked, and the journal (which
-  // IS durable) still carries the full history.
-  const TelemetrySnapshot after = bed->monitor->DumpTelemetry();
-  EXPECT_EQ(after.stats.TotalCalls(), 0u);
-  EXPECT_EQ(after.stats.recoveries, 1u);
-  EXPECT_TRUE(after.trace.empty());
-  EXPECT_EQ(after.trace_recorded, 0u);
-  EXPECT_GT(after.journal_records, 0u);
+  // Counters and the trace ring restart -- a post-recovery read-out must
+  // never mix epochs -- but the recovery itself is marked, and the journal
+  // (which IS durable) still carries the full history.
+  const MonitorStats after = bed->monitor->stats();
+  EXPECT_EQ(after.TotalCalls(), 0u);
+  EXPECT_EQ(after.recoveries, 1u);
+  EXPECT_TRUE(bed->monitor->telemetry().ring().Snapshot().empty());
+  EXPECT_EQ(bed->monitor->telemetry().ring().recorded(), 0u);
+  EXPECT_GT(bed->monitor->audit().journal().size(), 0u);
+  // The scrape tells the same story.
+  const std::string scrape = bed->monitor->ExportMetrics();
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_recoveries_total"), 1u);
+  EXPECT_EQ(ScrapeValue(scrape, "tyche_trace_recorded_total"), 0u);
 }
 
 TEST(RecoveryTest, RecoveredMonitorAttestsLikeTheOriginal) {
@@ -437,14 +442,13 @@ TEST(RecoveryTest, OfflineVerifierAcceptsSnapshotAnchoredJournal) {
   const auto snapshot = bed->store.LatestAtOrBefore(first_anchored);
   ASSERT_TRUE(snapshot.ok());
   const std::vector<uint8_t> wire = bed->monitor->ExportJournal();
-  const TelemetrySnapshot dump = bed->monitor->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
 
-  const Status ok = VerifyJournalWithSnapshot(wire, snapshot->bytes, key,
-                                              dump.capability_graph_json);
+  const Status ok = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, graph_json);
   EXPECT_TRUE(ok.ok()) << ok.ToString();
 
   // Wrong expected graph: the replay diverges from the claimed state.
-  std::string wrong_graph = dump.capability_graph_json;
+  std::string wrong_graph = graph_json;
   ASSERT_FALSE(wrong_graph.empty());
   wrong_graph.back() = wrong_graph.back() == '}' ? ']' : '}';
   const Status divergent = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, wrong_graph);
@@ -454,16 +458,14 @@ TEST(RecoveryTest, OfflineVerifierAcceptsSnapshotAnchoredJournal) {
   // A snapshot no signed checkpoint binds is refused outright.
   std::vector<uint8_t> unbound = snapshot->bytes;
   unbound[8] ^= 0x40;
-  const Status rejected =
-      VerifyJournalWithSnapshot(wire, unbound, key, dump.capability_graph_json);
+  const Status rejected = VerifyJournalWithSnapshot(wire, unbound, key, graph_json);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), ErrorCode::kJournalSignatureInvalid);
 
   // A flipped record byte breaks the hash chain.
   std::vector<uint8_t> broken = wire;
   broken[broken.size() / 2] ^= 0x01;
-  const Status chain = VerifyJournalWithSnapshot(broken, snapshot->bytes, key,
-                                                 dump.capability_graph_json);
+  const Status chain = VerifyJournalWithSnapshot(broken, snapshot->bytes, key, graph_json);
   EXPECT_FALSE(chain.ok());
 }
 

@@ -392,28 +392,5 @@ TEST(JournalTest, RestoreResumesTheChain) {
                   .ok());
 }
 
-TEST(JournalTest, SpanTreeGroupsRecordsByCausalRoot) {
-  std::vector<JournalRecord> records;
-  // Span 11: a dispatch (the root label) plus two cascade records; span 12
-  // interleaves to prove grouping is by span id, not adjacency.
-  JournalRecord dispatch = Record(JournalEvent::kDispatch, 11, 0);
-  dispatch.op = 4;
-  records.push_back(dispatch);
-  records.push_back(Record(JournalEvent::kCascade, 12, 30));
-  records.push_back(Record(JournalEvent::kCascade, 11, 31));
-  records.push_back(Record(JournalEvent::kCascade, 11, 32));
-  const std::string json = ExportSpanTreeJson(
-      records, [](uint8_t op) { return "op" + std::to_string(op); });
-  EXPECT_NE(json.find("\"span\":11"), std::string::npos);
-  EXPECT_NE(json.find("\"span\":12"), std::string::npos);
-  EXPECT_NE(json.find("\"root\":\"op4\""), std::string::npos);
-  // Span 11 has three records, grouped despite the interleaving.
-  const size_t span11 = json.find("\"span\":11");
-  const size_t span12 = json.find("\"span\":12");
-  ASSERT_NE(span11, std::string::npos);
-  ASSERT_NE(span12, std::string::npos);
-  EXPECT_LT(span11, span12);  // first-seen order preserved
-}
-
 }  // namespace
 }  // namespace tyche

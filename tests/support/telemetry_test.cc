@@ -67,15 +67,6 @@ TEST(TraceRingTest, ClearResets) {
   EXPECT_EQ(ring.recorded(), 0u);
 }
 
-TEST(TraceRingTest, DumpJsonContainsOpNames) {
-  TraceRing ring(4);
-  ring.Record(MakeEntry(3, 42));
-  const auto name = [](uint16_t op) { return std::string("op") + std::to_string(op); };
-  const std::string json = ring.DumpJson(name);
-  EXPECT_NE(json.find("\"op\":\"op3\""), std::string::npos);
-  EXPECT_NE(json.find("\"duration_ns\":42"), std::string::npos);
-}
-
 // Records every value into a fresh striped histogram and snapshots it.
 HistogramSnapshot Histogram(std::initializer_list<std::pair<uint64_t, int>> samples) {
   StripedHistogram recorder;

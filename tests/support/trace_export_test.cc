@@ -135,6 +135,42 @@ TEST(TraceExportTest, NamesWithQuotesSurviveTheRoundTrip) {
   EXPECT_TRUE(found);
 }
 
+TEST(TraceExportTest, ControlCharactersInNamesRoundTripUnchanged) {
+  // Tab, CR and every other control byte are escaped losslessly, not folded
+  // into spaces, so a name comes back from the parser byte for byte.
+  const std::string name = std::string("tab\there\rcr") + '\x01' + "soh";
+  const std::vector<TraceEntry> trace = {MakeEntry(0, 3, 0, 1, 500)};
+  const auto named = [&name](uint16_t) { return name; };
+  const auto parsed = ParseChromeTrace(ExportChromeTrace(trace, {}, named, EventName));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  bool found = false;
+  for (const ParsedTraceEvent& event : *parsed) {
+    if (event.phase == "X") {
+      EXPECT_EQ(event.name, name);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(TraceParserTest, DecodesEveryJsonStringEscape) {
+  const auto name_of = [](const std::string& escaped) -> std::string {
+    const auto parsed = ParseChromeTrace("{\"traceEvents\":[{\"name\":\"" + escaped +
+                                         "\",\"ph\":\"i\",\"ts\":0,\"pid\":2,\"tid\":0}]}");
+    return parsed.ok() && parsed->size() == 1 ? (*parsed)[0].name : "<rejected>";
+  };
+  EXPECT_EQ(name_of("\\b\\f\\n\\r\\t\\/"), "\b\f\n\r\t/");
+  EXPECT_EQ(name_of("\\u0001\\u001F"), "\x01\x1f");
+  EXPECT_EQ(name_of("\\u00e9"), "\xc3\xa9");  // U+00E9, two UTF-8 bytes
+  EXPECT_EQ(name_of("\\u20AC"), "\xe2\x82\xac");  // U+20AC, three bytes
+  EXPECT_EQ(name_of("\\ud83d\\ude00"), "\xf0\x9f\x98\x80");  // surrogate pair
+  EXPECT_EQ(name_of("\\ud83d"), "<rejected>");  // unpaired high half
+  EXPECT_EQ(name_of("\\ude00"), "<rejected>");  // unpaired low half
+  EXPECT_EQ(name_of("\\u12g4"), "<rejected>");
+  EXPECT_EQ(name_of("\\u12"), "<rejected>");
+  EXPECT_EQ(name_of("\\x41"), "<rejected>");
+}
+
 TEST(TraceParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseChromeTrace("").ok());
   EXPECT_FALSE(ParseChromeTrace("[]").ok());  // array form not produced by exporter

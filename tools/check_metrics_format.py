@@ -4,9 +4,10 @@
 Validates the text exposition format line by line -- HELP/TYPE headers,
 metric-name and label syntax, numeric sample values, histogram structure
 (cumulative buckets ending in le="+Inf", plus _sum and _count) -- and then
-asserts the export covers the signal families every DumpTelemetry() consumer
-relies on. Fails (exit 1) listing every violation, so a formatting
-regression in the exporter is caught before a real scraper trips on it.
+asserts the export covers every signal family the monitor keeps: the scrape
+is the monitor's one aggregate read-out. Fails (exit 1) listing every
+violation, so a formatting regression in the exporter is caught before a
+real scraper trips on it.
 
 Usage:
     check_metrics_format.py metrics.prom [--require-nonzero tyche_api_calls_total]
@@ -29,8 +30,9 @@ SAMPLE_RE = re.compile(
     r"\s+(?P<value>[0-9]+(?:\.[0-9]+)?|[+-]Inf|NaN)\s*$"
 )
 
-# Families the monitor has always surfaced through DumpTelemetry(); the
-# export is only complete if each appears (a histogram counts via _count).
+# Every signal family the monitor keeps; ExportMetrics() is its one aggregate
+# read-out, so the export is only complete if each appears (a histogram counts
+# via _count).
 MONITOR_FAMILIES = [
     "tyche_api_calls_total",
     "tyche_transitions_total",

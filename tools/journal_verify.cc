@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/boot.h"
@@ -291,15 +292,14 @@ int SelfTest(size_t* records, size_t* checkpoints) {
     return 2;
   }
 
-  const TelemetrySnapshot snapshot = monitor.DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor.engine());
   std::vector<uint8_t> wire = monitor.ExportJournal();
   *records = monitor.audit().journal().size();
   *checkpoints = monitor.audit().journal().checkpoint_count();
   std::printf("exported %zu bytes (%zu records, %zu checkpoints)\n", wire.size(),
               *records, *checkpoints);
 
-  Status verdict = RemoteVerifier::VerifyJournal(wire, monitor.public_key(),
-                                                 &snapshot.capability_graph_json);
+  Status verdict = RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json);
   if (!verdict.ok()) {
     std::printf("FAIL: pristine journal rejected: %s\n", verdict.ToString().c_str());
     return 1;
