@@ -21,22 +21,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <iterator>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "src/capability/graph_export.h"
-#include "src/monitor/attestation.h"
-#include "src/monitor/audit.h"
-#include "src/monitor/dispatch.h"
+#include "src/monitor/boot.h"
 #include "src/monitor/recovery.h"
-#include "src/support/faults.h"
-#include "tests/testing/booted_machine.h"
+#include "src/tyche/loader.h"
+#include "tests/testing/sweep.h"
 
 namespace tyche {
 namespace {
@@ -82,18 +74,8 @@ struct Evidence {
 // Dispatch() so every boundary shape the ABI can journal appears: dispatch
 // roots, mutations, cascades, effects, restores.
 void RunWorkload(Machine* machine, Monitor* monitor, DomainId os_domain) {
-  const auto call = [&](CoreId core, ApiOp op, uint64_t a0 = 0, uint64_t a1 = 0,
-                        uint64_t a2 = 0, uint64_t a3 = 0, uint64_t a4 = 0,
-                        uint64_t a5 = 0) {
-    ApiRegs regs;
-    regs.op = static_cast<uint64_t>(op);
-    regs.arg0 = a0;
-    regs.arg1 = a1;
-    regs.arg2 = a2;
-    regs.arg3 = a3;
-    regs.arg4 = a4;
-    regs.arg5 = a5;
-    const ApiResult result = Dispatch(monitor, core, regs);
+  const auto call = [&](CoreId core, ApiOp op, auto... args) {
+    const ApiResult result = sweep::Call(monitor, core, op, args...);
     EXPECT_EQ(result.error, 0u) << "workload op " << ApiOpName(op) << " failed: "
                                 << ErrorCodeName(static_cast<ErrorCode>(result.error));
     return result;
@@ -194,25 +176,13 @@ Digest OracleDigest(const std::vector<JournalRecord>& records) {
   return EngineDigest(shadow);
 }
 
-// `anchor_snapshot` is empty when the recovered journal reaches back to
-// genesis (plain offline verification applies); a monitor recovered from a
-// compacted journal keeps the truncation, so its export only verifies
-// through the snapshot-anchored path -- exactly like tools/journal_verify.
+// A monitor recovered from a compacted journal keeps the truncation, so its
+// export only verifies through `anchor_snapshot`.
 void ExpectRecoveredMonitorIsSound(Monitor* monitor, const Digest& oracle,
                                    std::span<const uint8_t> anchor_snapshot = {}) {
   EXPECT_EQ(EngineDigest(monitor->engine()), oracle)
       << "recovered engine diverged from the uncrashed oracle";
-  const auto consistent = monitor->AuditHardwareConsistency();
-  ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
-  EXPECT_TRUE(*consistent) << "hardware is not a projection of the tree";
-  const std::string graph_json = ExportCapabilityGraphJson(monitor->engine());
-  const std::vector<uint8_t> wire = monitor->ExportJournal();
-  const Status verified =
-      anchor_snapshot.empty()
-          ? RemoteVerifier::VerifyJournal(wire, monitor->public_key(), &graph_json)
-          : VerifyJournalWithSnapshot(wire, anchor_snapshot, monitor->public_key(),
-                                      graph_json);
-  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  sweep::ExpectHardwareAndJournalSound(*monitor, anchor_snapshot);
 }
 
 // One boundary: die after `prefix_len` records, recover on a fresh machine
@@ -247,10 +217,10 @@ void SweepEveryBoundary(IsaArch arch) {
   ASSERT_GT(evidence->records.size(), evidence->boot_records);
   ASSERT_GE(evidence->store.size(), 2u)
       << "workload too short to cross two snapshot checkpoints";
-  std::printf("[ sweep ] arch=%d boundaries=%zu snapshots=%zu\n",
-              static_cast<int>(arch),
-              evidence->records.size() - evidence->boot_records + 1,
-              evidence->store.size());
+  sweep::PrintCounts("crash/boundaries", arch,
+                     "boundaries=" +
+                         std::to_string(evidence->records.size() - evidence->boot_records + 1) +
+                         " snapshots=" + std::to_string(evidence->store.size()));
   // Every boundary from "boot just finished" to "died with a full journal".
   for (size_t prefix_len = evidence->boot_records;
        prefix_len <= evidence->records.size(); ++prefix_len) {
@@ -299,6 +269,7 @@ void SweepCompactedJournals(IsaArch arch) {
     ExpectRecoveredMonitorIsSound(outcome->monitor.get(), oracle, snapshot->bytes);
   }
   EXPECT_GE(anchors, 2u);
+  sweep::PrintCounts("crash/compaction", arch, "anchors=" + std::to_string(anchors));
 }
 
 // One faulted recovery: PrepareMonitor by hand so the half-recovered
@@ -326,7 +297,7 @@ void FaultedRecoveryTrial(IsaArch arch, const Evidence& evidence,
   }
   const bool fired = FaultInjector::Instance().fired_count() > 0;
   if (require_fire) {
-    EXPECT_TRUE(fired) << "plan " << plan.ToString() << " never fired";
+    sweep::ExpectFiredOnce(plan);
   }
   if (fired) {
     // The failure surfaced as a typed error, never a silent half-recovery.
@@ -340,11 +311,10 @@ void FaultedRecoveryTrial(IsaArch arch, const Evidence& evidence,
   ExpectRecoveredMonitorIsSound(monitor, OracleDigest(evidence.records));
 }
 
-// Counting run over a clean recovery: which injection sites does Recover()
+// Counting run over a clean recovery: which sweepable sites does Recover()
 // cross, and how often? Drives both the exhaustive re-sync sweep and the
 // seeded soak.
-std::map<std::string, uint64_t> CountRecoverySites(IsaArch arch,
-                                                   const Evidence& evidence) {
+sweep::SiteCounts CountRecoverySites(IsaArch arch, const Evidence& evidence) {
   ParsedJournal journal;
   journal.records = evidence.records;
   journal.checkpoints = evidence.checkpoints;
@@ -355,86 +325,32 @@ std::map<std::string, uint64_t> CountRecoverySites(IsaArch arch,
   machine->tpm().Reset();
   auto prepared = PrepareMonitor(machine.get(), evidence.Params());
   EXPECT_TRUE(prepared.ok());
-  FaultInjector::Instance().StartCounting();
-  const Status recovered = prepared->monitor->Recover(snapshot->bytes, journal);
-  auto counts = FaultInjector::Instance().StopCounting();
+  Status recovered;
+  auto counts = sweep::CountSites(
+      [&] { recovered = prepared->monitor->Recover(snapshot->bytes, journal); },
+      sweep::Sweepable);
   EXPECT_TRUE(recovered.ok()) << recovered.ToString();
-  // Drop the silent-corruption sites (journal.head_tamper,
-  // engine.owned_desync): they corrupt state without failing the operation,
-  // so Recover() legitimately reports success and only the invariant
-  // watchdog detects them (tests/monitor/watchdog_test.cc). The resync
-  // sweep asserts typed-error propagation, which they never produce.
-  const auto& sweepable = AllFaultSites();
-  for (auto it = counts.begin(); it != counts.end();) {
-    const bool known = std::find(sweepable.begin(), sweepable.end(), it->first) !=
-                       sweepable.end();
-    it = known ? std::next(it) : counts.erase(it);
-  }
   return counts;
 }
 
-void SweepResyncFaults(IsaArch arch, const std::set<std::string>& required_sites) {
+void SweepResyncFaults(IsaArch arch, const std::vector<std::string_view>& required_sites) {
   const auto evidence = CollectEvidence(arch);
   ASSERT_NE(evidence, nullptr);
   const auto counts = CountRecoverySites(arch, *evidence);
-  for (const std::string& site : required_sites) {
-    EXPECT_TRUE(counts.contains(site) && counts.at(site) > 0)
-        << "recovery never crossed " << site;
-  }
-  // First / middle / last occurrence of every site recovery crosses.
-  for (const auto& [site, count] : counts) {
-    if (count == 0) {
-      continue;
-    }
-    for (const uint64_t trigger : std::set<uint64_t>{1, (count + 1) / 2, count}) {
-      SCOPED_TRACE(site + "#" + std::to_string(trigger) + "/" +
-                   std::to_string(count));
-      FaultedRecoveryTrial(arch, *evidence, FaultPlan::Single(site, trigger),
-                           /*require_fire=*/true);
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
+  sweep::ExpectReached(counts, required_sites);
+  sweep::ForEachFirstMiddleLast("crash/resync", arch, counts, [&](const FaultPlan& plan) {
+    FaultedRecoveryTrial(arch, *evidence, plan, /*require_fire=*/true);
+  });
 }
 
 void SoakRecovery(IsaArch arch, int trials) {
   const auto evidence = CollectEvidence(arch);
   ASSERT_NE(evidence, nullptr);
-  const auto counts = CountRecoverySites(arch, *evidence);
-  ASSERT_FALSE(counts.empty());
-  uint64_t base_seed = 0xD1CE + static_cast<uint64_t>(arch);
-  if (const char* env = std::getenv("TYCHE_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  std::printf("[ soak ] arch=%d base_seed=0x%llx trials=%d\n",
-              static_cast<int>(arch),
-              static_cast<unsigned long long>(base_seed), trials);
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = base_seed + static_cast<uint64_t>(trial) * 0x9E3779B9ull;
-    const FaultPlan plan = FaultPlan::FromSeed(seed, counts);
-    ASSERT_FALSE(plan.empty());
-    SCOPED_TRACE("seed " + std::to_string(seed) + " plan " + plan.ToString());
-    FaultedRecoveryTrial(arch, *evidence, plan, /*require_fire=*/false);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
+  sweep::Soak("crash/soak", arch, 0xD1CE + static_cast<uint64_t>(arch), trials,
+              CountRecoverySites(arch, *evidence), [&](const FaultPlan& plan) {
+                FaultedRecoveryTrial(arch, *evidence, plan, /*require_fire=*/false);
+              });
 }
-
-const std::set<std::string> kVtxResyncSites = {
-    std::string(faults::kVtxCreateContext),
-    std::string(faults::kVtxSyncMemory),
-    std::string(faults::kVtxAttachDevice),
-    std::string(faults::kVtxBindCore),
-};
-
-const std::set<std::string> kPmpResyncSites = {
-    std::string(faults::kPmpCreateContext),
-    std::string(faults::kPmpRecompile),
-    std::string(faults::kPmpBindCore),
-    std::string(faults::kPmpAttachDevice),
-};
 
 TEST(CrashSweepTest, EveryRecordBoundaryOnVtx) { SweepEveryBoundary(IsaArch::kX86_64); }
 
@@ -449,11 +365,13 @@ TEST(CrashSweepTest, EverySnapshotAnchoredCompactionOnPmp) {
 }
 
 TEST(CrashSweepTest, EveryResyncFaultSiteOnVtx) {
-  SweepResyncFaults(IsaArch::kX86_64, kVtxResyncSites);
+  SweepResyncFaults(IsaArch::kX86_64, {faults::kVtxCreateContext, faults::kVtxSyncMemory,
+                                       faults::kVtxAttachDevice, faults::kVtxBindCore});
 }
 
 TEST(CrashSweepTest, EveryResyncFaultSiteOnPmp) {
-  SweepResyncFaults(IsaArch::kRiscV, kPmpResyncSites);
+  SweepResyncFaults(IsaArch::kRiscV, {faults::kPmpCreateContext, faults::kPmpRecompile,
+                                      faults::kPmpBindCore, faults::kPmpAttachDevice});
 }
 
 TEST(CrashSweepTest, RandomizedRecoveryFaultSoakOnVtx) {

@@ -1,9 +1,9 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Fleet fault sweep (ISSUE 9 tentpole deliverable): every fleet fault site —
-// monitor crash, front-end response blackhole, breaker-probe loss, cache
-// poisoning, queue overflow — injected at its first / middle / last
-// occurrence within a fixed workload, on both isolation backends, plus a
-// logged-seed randomized soak. The workload itself carries the invariants:
+// Fleet fault sweep: every fleet fault site — monitor crash, front-end
+// response blackhole, breaker-probe loss, cache poisoning, queue overflow,
+// batch forgery — injected at its first / middle / last occurrence within a
+// fixed workload, on both isolation backends, plus a logged-seed randomized
+// soak. The workload itself carries the invariants:
 //
 //   correctness   a verification NEVER returns success with a measurement
 //                 other than the service's pinned golden one — not under
@@ -19,18 +19,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/fleet/frontend.h"
 #include "src/fleet/zipf.h"
-#include "src/support/faults.h"
 #include "src/tyche/verifier.h"
+#include "tests/testing/sweep.h"
 
 namespace tyche {
 namespace {
@@ -186,64 +182,37 @@ void RunWorkload(FleetWorld* world) {
 // Counting run: the workload with every site observing but never failing.
 // Only the fleet.* sites are kept — the channel and migration sites crossed
 // by the failover ladder already have their own sweep.
-std::map<std::string, uint64_t> CountOccurrences(IsaArch arch) {
+sweep::SiteCounts CountOccurrences(IsaArch arch) {
   auto world = MakeFleetWorld(arch);
   EXPECT_NE(world, nullptr);
   if (world == nullptr) {
     return {};
   }
-  FaultInjector::Instance().StartCounting();
-  RunWorkload(world.get());
-  auto counts = FaultInjector::Instance().StopCounting();
-  for (auto it = counts.begin(); it != counts.end();) {
-    it = it->first.rfind("fleet.", 0) == 0 ? std::next(it) : counts.erase(it);
-  }
-  return counts;
+  return sweep::CountSites([&] { RunWorkload(world.get()); }, sweep::Prefixed({"fleet."}));
 }
 
 // One injected trial: fresh fleet, one (site, occurrence) fault, the full
 // workload, and the invariants checked after every event inside it.
-void RunTrial(IsaArch arch, const std::string& site, uint64_t trigger) {
+void RunTrial(IsaArch arch, const FaultPlan& plan) {
   auto world = MakeFleetWorld(arch);
   ASSERT_NE(world, nullptr);
   {
-    ScopedFaultPlan scoped(FaultPlan::Single(site, trigger));
+    ScopedFaultPlan scoped(plan);
     RunWorkload(world.get());
-    EXPECT_EQ(FaultInjector::Instance().fired_count(), 1u)
-        << site << "#" << trigger << " did not fire exactly once";
   }
+  sweep::ExpectFiredOnce(plan);
 }
 
 void RunSweep(IsaArch arch) {
   const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
-
   // Coverage: the clean workload reaches every fleet site, including the
   // half-open breaker probe (driven by the scripted crash) and the batched
   // drain's forgery site (driven by the phase-C overload burst).
-  for (const std::string_view site :
-       {faults::kFleetNodeCrash, faults::kFleetVerifyTimeout,
-        faults::kFleetBreakerProbe, faults::kFleetCachePoison,
-        faults::kFleetQueueOverflow, faults::kFleetBatchForge}) {
-    const auto it = counts.find(std::string(site));
-    ASSERT_TRUE(it != counts.end() && it->second > 0)
-        << "workload never reached " << site;
-  }
-
-  uint64_t trials = 0;
-  for (const auto& [site, count] : counts) {
-    for (const uint64_t trigger : std::set<uint64_t>{1, (count + 1) / 2, count}) {
-      SCOPED_TRACE(site + "#" + std::to_string(trigger) + "/" +
-                   std::to_string(count));
-      RunTrial(arch, site, trigger);
-      ++trials;
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
-  std::printf("[ sweep ] arch=%d sites=%zu trials=%llu\n", static_cast<int>(arch),
-              counts.size(), static_cast<unsigned long long>(trials));
+  sweep::ExpectReached(counts, {faults::kFleetNodeCrash, faults::kFleetVerifyTimeout,
+                                faults::kFleetBreakerProbe, faults::kFleetCachePoison,
+                                faults::kFleetQueueOverflow, faults::kFleetBatchForge});
+  sweep::ForEachFirstMiddleLast("fleet/grid", arch, counts,
+                                [arch](const FaultPlan& plan) { RunTrial(arch, plan); });
 }
 
 // A clean run is itself a test: scripted crash -> breaker -> probe ->
@@ -346,31 +315,11 @@ TEST(FleetSweep, EverySiteEveryOccurrenceVtx) { RunSweep(IsaArch::kX86_64); }
 TEST(FleetSweep, EverySiteEveryOccurrencePmp) { RunSweep(IsaArch::kRiscV); }
 
 // Randomized soak: (site, occurrence) pairs sampled from the observed
-// counts. The seed is printed so any failing trial replays verbatim with
-// TYCHE_FAULT_SEED.
+// counts.
 TEST(FleetSweep, RandomizedFleetSoak) {
   const IsaArch arch = IsaArch::kX86_64;
-  const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
-  uint64_t base_seed = 0xF1EE75EED;
-  if (const char* env = std::getenv("TYCHE_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  constexpr int kTrials = 10;
-  std::printf("[ soak ] base_seed=0x%llx trials=%d\n",
-              static_cast<unsigned long long>(base_seed), kTrials);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t seed = base_seed + static_cast<uint64_t>(trial) * 0x9E3779B9ull;
-    const FaultPlan plan = FaultPlan::FromSeed(seed, counts);
-    ASSERT_FALSE(plan.empty());
-    const FaultSpec& spec = plan.specs()[0];
-    SCOPED_TRACE("seed " + std::to_string(seed) + " site " + spec.site + "#" +
-                 std::to_string(spec.trigger));
-    RunTrial(arch, spec.site, spec.trigger);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
+  sweep::Soak("fleet/soak", arch, 0xF1EE75EED, 10, CountOccurrences(arch),
+              [arch](const FaultPlan& plan) { RunTrial(arch, plan); });
 }
 
 }  // namespace

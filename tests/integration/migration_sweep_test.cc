@@ -25,22 +25,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/monitor/attestation.h"
 #include "src/monitor/migration.h"
 #include "src/monitor/recovery.h"
-#include "src/support/faults.h"
 #include "src/tyche/channel.h"
 #include "src/tyche/loader.h"
 #include "src/tyche/verifier.h"
+#include "tests/testing/sweep.h"
 
 namespace tyche {
 namespace {
@@ -260,53 +255,47 @@ Oracle CleanMigration(IsaArch arch) {
 // migration. Only the sites this sweep owns are kept — everything else
 // (engine.*, vtx.*, pmp.*) already has its own sweep, and injecting those
 // mid-commit would legitimately diverge from the unmigrated oracle.
-std::map<std::string, uint64_t> CountOccurrences(IsaArch arch) {
+sweep::SiteCounts CountOccurrences(IsaArch arch) {
   auto world = MakeWorld(arch);
   EXPECT_NE(world, nullptr);
   if (world == nullptr) {
     return {};
   }
-  FaultInjector::Instance().StartCounting();
   LossyChannel channel;
-  const auto report = MigrateDomain(world->source.get(), world->dest.get(),
-                                    world->victim, &channel,
-                                    world->source->public_key());
-  auto counts = FaultInjector::Instance().StopCounting();
+  Result<MigrationReport> report = Error(ErrorCode::kInternal, "not run");
+  auto counts = sweep::CountSites(
+      [&] {
+        report = MigrateDomain(world->source.get(), world->dest.get(), world->victim,
+                               &channel, world->source->public_key());
+      },
+      sweep::Prefixed({"migrate.", "channel."}));
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  for (auto it = counts.begin(); it != counts.end();) {
-    const bool ours = it->first.rfind("migrate.", 0) == 0 ||
-                      it->first.rfind("channel.", 0) == 0;
-    it = ours ? std::next(it) : counts.erase(it);
-  }
   return counts;
 }
 
 // One injected trial: fresh two-monitor world, one (site, occurrence)
 // fault, one migration attempt, then the invariants.
-void RunTrial(IsaArch arch, const std::string& site, uint64_t trigger,
-              const Oracle& oracle) {
+void RunTrial(IsaArch arch, const FaultPlan& plan, const Oracle& oracle) {
   auto world = MakeWorld(arch);
   ASSERT_NE(world, nullptr);
   Monitor* source = world->source.get();
   Monitor* dest = world->dest.get();
   const Digest pre_source = EngineDigest(source->engine());
   const Digest pre_dest = EngineDigest(dest->engine());
+  const std::string& site = plan.specs()[0].site;
 
   LossyChannel channel;
   Result<MigrationReport> report = Error(ErrorCode::kInternal, "not run");
   {
-    ScopedFaultPlan scoped(FaultPlan::Single(site, trigger));
-    report = MigrateDomain(source, dest, world->victim, &channel,
-                           source->public_key());
+    ScopedFaultPlan scoped(plan);
+    report = MigrateDomain(source, dest, world->victim, &channel, source->public_key());
   }
-  EXPECT_EQ(FaultInjector::Instance().fired_count(), 1u)
-      << site << "#" << trigger << " did not fire exactly once";
+  sweep::ExpectFiredOnce(plan);
 
-  if (site.rfind("channel.", 0) == 0) {
+  if (site.starts_with("channel.")) {
     // A lossy wire is weather, not failure: the retry rounds absorb it and
     // the migration lands on exactly the oracle state.
-    ASSERT_TRUE(report.ok()) << site << "#" << trigger << ": "
-                             << report.status().ToString();
+    ASSERT_TRUE(report.ok()) << plan.ToString() << ": " << report.status().ToString();
     if (site == faults::kChannelDrop) {
       EXPECT_GE(report->retries, 1u) << "a dropped frame must cost a retry round";
     }
@@ -319,7 +308,7 @@ void RunTrial(IsaArch arch, const std::string& site, uint64_t trigger,
   }
 
   // migrate.* stage fault: typed error, full rollback to the source.
-  ASSERT_FALSE(report.ok()) << site << "#" << trigger << " unexpectedly succeeded";
+  ASSERT_FALSE(report.ok()) << plan.ToString() << " unexpectedly succeeded";
   EXPECT_EQ(report.status().code(), DefaultFaultCode(site))
       << report.status().ToString();
   EXPECT_FALSE(source->migration_in_progress()) << "domain left frozen";
@@ -348,64 +337,27 @@ void RunSweep(IsaArch arch) {
   const Oracle oracle = CleanMigration(arch);
   ASSERT_NE(oracle.dest_domain, kInvalidDomain);
   const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
-
   // Coverage: one clean migration reaches every site this sweep owns.
-  for (const std::string_view site :
-       {faults::kMigrateFreeze, faults::kMigrateCapture, faults::kMigrateTransfer,
-        faults::kMigrateRestore, faults::kMigrateResync, faults::kMigrateCommit,
-        faults::kChannelDrop, faults::kChannelDup, faults::kChannelReorder}) {
-    const auto it = counts.find(std::string(site));
-    ASSERT_TRUE(it != counts.end() && it->second > 0)
-        << "clean migration never reached " << site;
-  }
-
-  uint64_t trials = 0;
-  for (const auto& [site, count] : counts) {
-    for (const uint64_t trigger : std::set<uint64_t>{1, (count + 1) / 2, count}) {
-      SCOPED_TRACE(site + "#" + std::to_string(trigger) + "/" + std::to_string(count));
-      RunTrial(arch, site, trigger, oracle);
-      ++trials;
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
-  std::printf("[ sweep ] arch=%d sites=%zu trials=%llu\n", static_cast<int>(arch),
-              counts.size(), static_cast<unsigned long long>(trials));
+  sweep::ExpectReached(counts, {faults::kMigrateFreeze, faults::kMigrateCapture,
+                                faults::kMigrateTransfer, faults::kMigrateRestore,
+                                faults::kMigrateResync, faults::kMigrateCommit,
+                                faults::kChannelDrop, faults::kChannelDup,
+                                faults::kChannelReorder});
+  sweep::ForEachFirstMiddleLast("migration/grid", arch, counts,
+                                [&](const FaultPlan& plan) { RunTrial(arch, plan, oracle); });
 }
 
 TEST(MigrationSweep, EveryStageEveryOccurrenceVtx) { RunSweep(IsaArch::kX86_64); }
 TEST(MigrationSweep, EveryStageEveryOccurrencePmp) { RunSweep(IsaArch::kRiscV); }
 
 // Randomized soak on top of the fixed grid: (site, occurrence) pairs
-// sampled uniformly across the migration and channel sites. The seed is
-// printed so any failing trial replays verbatim with TYCHE_FAULT_SEED.
+// sampled uniformly across the migration and channel sites.
 TEST(MigrationSweep, RandomizedMigrationSoak) {
   const IsaArch arch = IsaArch::kX86_64;
   const Oracle oracle = CleanMigration(arch);
   ASSERT_NE(oracle.dest_domain, kInvalidDomain);
-  const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
-  uint64_t base_seed = 0x5EEDCAFE;
-  if (const char* env = std::getenv("TYCHE_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  constexpr int kTrials = 25;
-  std::printf("[ soak ] base_seed=0x%llx trials=%d\n",
-              static_cast<unsigned long long>(base_seed), kTrials);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t seed = base_seed + static_cast<uint64_t>(trial) * 0x9E3779B9ull;
-    const FaultPlan plan = FaultPlan::FromSeed(seed, counts);
-    ASSERT_FALSE(plan.empty());
-    const FaultSpec& spec = plan.specs()[0];
-    SCOPED_TRACE("seed " + std::to_string(seed) + " site " + spec.site + "#" +
-                 std::to_string(spec.trigger));
-    RunTrial(arch, spec.site, spec.trigger, oracle);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
+  sweep::Soak("migration/soak", arch, 0x5EEDCAFE, 25, CountOccurrences(arch),
+              [&](const FaultPlan& plan) { RunTrial(arch, plan, oracle); });
 }
 
 // The journal splice rejects what it must: tampered bytes, cross-world

@@ -60,8 +60,8 @@ MONITOR_FAMILIES = [
     "tyche_profiler_samples_total",
 ]
 
-# Families the fleet verification front end registers; the fleet-sweep CI
-# job scrapes its registry and every dashboard signal must be present.
+# Families the fleet verification front end registers; CI's fleet metrics
+# scrape step checks its registry and every dashboard signal must be present.
 FLEET_FAMILIES = [
     "tyche_fleet_verifications_total",
     "tyche_fleet_retries_total",
