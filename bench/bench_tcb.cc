@@ -6,7 +6,8 @@
 // lines of code per module (what a verifier must trust), the external API
 // surface, and the per-domain metadata footprint.
 //
-// Not a timing benchmark: prints a table.
+// Not a timing benchmark: prints a table, and exits non-zero when the TCB
+// total reaches the paper's 10K bound (the `tcb_budget` ctest).
 
 #include <cstdio>
 #include <filesystem>
@@ -58,11 +59,15 @@ ModuleCount CountModule(const std::filesystem::path& dir, const std::string& nam
   return count;
 }
 
+// The paper's bound on the monitor's TCB (§3.5/§4): "minimal (<10K LOC)".
+constexpr uint64_t kTcbBudgetCodeLines = 10000;
+
 std::filesystem::path FindSourceRoot() {
-  // Walk up from the CWD until a directory containing src/monitor appears.
+  // Walk up from the CWD until a directory holding the monitor's sources
+  // appears (a CMake build tree has an empty src/monitor of its own).
   std::filesystem::path current = std::filesystem::current_path();
   for (int depth = 0; depth < 6; ++depth) {
-    if (std::filesystem::exists(current / "src" / "monitor")) {
+    if (std::filesystem::exists(current / "src" / "monitor" / "monitor.cc")) {
       return current;
     }
     current = current.parent_path();
@@ -71,6 +76,7 @@ std::filesystem::path FindSourceRoot() {
 }
 
 int Run() {
+  int exit_code = 0;
   std::printf("=== C7: TCB accounting ===\n\n");
   const std::filesystem::path root = FindSourceRoot();
   if (root.empty()) {
@@ -104,6 +110,12 @@ int Run() {
     std::printf("\nTCB total (code lines):            %llu   (paper target: < 10,000)\n",
                 static_cast<unsigned long long>(tcb_code));
     std::printf("Linux kernel for comparison:       > 20,000,000\n");
+    if (tcb_code >= kTcbBudgetCodeLines) {
+      std::printf("TCB over budget: %llu code lines >= %llu\n",
+                  static_cast<unsigned long long>(tcb_code),
+                  static_cast<unsigned long long>(kTcbBudgetCodeLines));
+      exit_code = 1;
+    }
   }
 
   std::printf("\n--- API surface ---\n");
@@ -136,7 +148,7 @@ int Run() {
     std::printf("monitor API calls for 1 load:        %llu\n",
                 static_cast<unsigned long long>(testbed->monitor().stats().TotalCalls()));
   }
-  return 0;
+  return exit_code;
 }
 
 }  // namespace

@@ -202,206 +202,123 @@ Result<CapId> CapabilityEngine::ShareMemory(CapDomainId requester, CapId src_cap
                                             CapDomainId dst, AddrRange sub, Perms perms,
                                             CapRights rights, RevocationPolicy policy,
                                             CapEffects* effects) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "share: requester does not own capability");
-  }
-  if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "share: source capability inactive");
-  }
-  if (src->kind != ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "share: not a memory capability");
-  }
-  if (!src->rights.CanShare()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: missing share right");
-  }
-  if (sub.empty() || !src->range.Contains(sub)) {
-    return Error(ErrorCode::kOutOfRange, "share: sub-range outside capability");
-  }
-  if (!IsPageAligned(sub.base) || !IsPageAligned(sub.size)) {
-    return Error(ErrorCode::kInvalidArgument, "share: sub-range must be page-aligned");
-  }
-  if (!src->perms.Covers(perms) || perms.empty()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: permissions exceed source");
-  }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  Capability& child = NewCap(dst, ResourceKind::kMemory);
-  child.range = sub;
-  child.perms = perms;
-  child.rights = rights;
-  child.revocation = policy;
-  child.origin = CapOrigin::kShare;
-  child.parent = src->id;
-  // NewCap may rehash caps_; re-fetch src.
-  caps_[src_cap].children.push_back(child.id);
-
-  if (effects != nullptr) {
-    effects->Add(CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0,
-                           perms});
-  }
-  return child.id;
+  TYCHE_ASSIGN_OR_RETURN(const GrantOutcome outcome,
+                         Transfer({/*grant=*/false, /*memory=*/true, requester, src_cap, dst,
+                                   sub, perms, rights, policy},
+                                  effects));
+  return outcome.granted;
 }
 
 Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId src_cap,
                                                    CapDomainId dst, AddrRange sub,
                                                    Perms perms, CapRights rights,
                                                    RevocationPolicy policy) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src_ptr, GetMutable(src_cap));
-  if (src_ptr->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "grant: requester does not own capability");
-  }
-  if (!src_ptr->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "grant: source capability inactive");
-  }
-  if (src_ptr->kind != ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "grant: not a memory capability");
-  }
-  if (!src_ptr->rights.CanGrant()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: missing grant right");
-  }
-  if (sub.empty() || !src_ptr->range.Contains(sub)) {
-    return Error(ErrorCode::kOutOfRange, "grant: sub-range outside capability");
-  }
-  if (!IsPageAligned(sub.base) || !IsPageAligned(sub.size)) {
-    return Error(ErrorCode::kInvalidArgument, "grant: sub-range must be page-aligned");
-  }
-  if (!src_ptr->perms.Covers(perms) || perms.empty()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: permissions exceed source");
-  }
-  if (!src_ptr->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  // Snapshot fields before NewCap invalidates the pointer.
-  const AddrRange src_range = src_ptr->range;
-  const Perms src_perms = src_ptr->perms;
-  const CapRights src_rights = src_ptr->rights;
-  const RevocationPolicy src_policy = src_ptr->revocation;
-
-  GrantOutcome outcome;
-
-  Capability& granted = NewCap(dst, ResourceKind::kMemory);
-  granted.range = sub;
-  granted.perms = perms;
-  granted.rights = rights;
-  granted.revocation = policy;
-  granted.origin = CapOrigin::kGrant;
-  granted.parent = src_cap;
-  outcome.granted = granted.id;
-  caps_[src_cap].children.push_back(granted.id);
-
-  for (const AddrRange& piece : RemainderPieces(src_range, sub)) {
-    Capability& rem = NewCap(requester, ResourceKind::kMemory);
-    rem.range = piece;
-    rem.perms = src_perms;
-    rem.rights = src_rights;
-    rem.revocation = src_policy;
-    rem.origin = CapOrigin::kRemainder;
-    rem.parent = src_cap;
-    caps_[src_cap].children.push_back(rem.id);
-    outcome.remainders.push_back(rem.id);
-  }
-
-  caps_[src_cap].state = CapState::kDonated;
-
-  // The grantor loses access to the granted bytes; the recipient gains it.
-  outcome.effects.Add(CapEffect{CapEffect::Kind::kUnmapMemory, requester,
-                                ResourceKind::kMemory, sub, 0, src_perms});
-  outcome.effects.Add(
-      CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0, perms});
-  return outcome;
+  return Transfer({/*grant=*/true, /*memory=*/true, requester, src_cap, dst, sub, perms,
+                   rights, policy},
+                  nullptr);
 }
 
 Result<CapId> CapabilityEngine::ShareUnit(CapDomainId requester, CapId src_cap,
                                           CapDomainId dst, CapRights rights,
                                           RevocationPolicy policy, CapEffects* effects) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "share: requester does not own capability");
-  }
-  if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "share: source capability inactive");
-  }
-  if (src->kind == ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "share: use ShareMemory for memory");
-  }
-  if (!src->rights.CanShare()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: missing share right");
-  }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  const ResourceKind kind = src->kind;
-  const uint64_t unit = src->unit;
-  Capability& child = NewCap(dst, kind);
-  child.unit = unit;
-  child.rights = rights;
-  child.revocation = policy;
-  child.origin = CapOrigin::kShare;
-  child.parent = src_cap;
-  caps_[src_cap].children.push_back(child.id);
-
-  if (effects != nullptr) {
-    effects->Add(CapEffect{CapEffect::Kind::kAttachUnit, dst, kind, AddrRange{}, unit,
-                           Perms{}});
-  }
-  return child.id;
+  TYCHE_ASSIGN_OR_RETURN(const GrantOutcome outcome,
+                         Transfer({/*grant=*/false, /*memory=*/false, requester, src_cap, dst,
+                                   /*sub=*/{}, /*perms=*/{}, rights, policy},
+                                  effects));
+  return outcome.granted;
 }
 
 Result<GrantOutcome> CapabilityEngine::GrantUnit(CapDomainId requester, CapId src_cap,
                                                  CapDomainId dst, CapRights rights,
                                                  RevocationPolicy policy) {
+  return Transfer({/*grant=*/true, /*memory=*/false, requester, src_cap, dst, /*sub=*/{},
+                   /*perms=*/{}, rights, policy},
+                  nullptr);
+}
+
+Result<GrantOutcome> CapabilityEngine::Transfer(const TransferRequest& request,
+                                                CapEffects* effects) {
   const ScopedPhase phase(DispatchPhase::kEngine);
   std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "grant: requester does not own capability");
+  const auto fail = [&request](ErrorCode code, const char* what) {
+    return Error(code, std::string(request.grant ? "grant: " : "share: ") + what);
+  };
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(request.src_cap));
+  if (src->owner != request.requester) {
+    return fail(ErrorCode::kCapabilityNotOwned, "requester does not own capability");
   }
   if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "grant: source capability inactive");
+    return fail(ErrorCode::kCapabilityRevoked, "source capability inactive");
   }
-  if (src->kind == ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "grant: use GrantMemory for memory");
+  if ((src->kind == ResourceKind::kMemory) != request.memory) {
+    return fail(ErrorCode::kInvalidArgument,
+                request.memory ? "not a memory capability"
+                               : (request.grant ? "use GrantMemory for memory"
+                                                : "use ShareMemory for memory"));
   }
-  if (!src->rights.CanGrant()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: missing grant right");
+  if (!(request.grant ? src->rights.CanGrant() : src->rights.CanShare())) {
+    return fail(ErrorCode::kCapabilityRightsViolation,
+                request.grant ? "missing grant right" : "missing share right");
   }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: rights exceed source");
+  const AddrRange sub = request.sub;
+  if (request.memory) {
+    if (sub.empty() || !src->range.Contains(sub)) {
+      return fail(ErrorCode::kOutOfRange, "sub-range outside capability");
+    }
+    if (!IsPageAligned(sub.base) || !IsPageAligned(sub.size)) {
+      return fail(ErrorCode::kInvalidArgument, "sub-range must be page-aligned");
+    }
+    if (!src->perms.Covers(request.perms) || request.perms.empty()) {
+      return fail(ErrorCode::kCapabilityRightsViolation, "permissions exceed source");
+    }
   }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
+  if (!src->rights.Covers(request.rights)) {
+    return fail(ErrorCode::kCapabilityRightsViolation, "rights exceed source");
+  }
+  TYCHE_RETURN_IF_ERROR(CheckSealingRules(request.requester, request.dst));
 
-  const ResourceKind kind = src->kind;
-  const uint64_t unit = src->unit;
-
+  // caps_ is a std::map: `src` stays valid while NewCap inserts.
   GrantOutcome outcome;
-  Capability& granted = NewCap(dst, kind);
-  granted.unit = unit;
-  granted.rights = rights;
-  granted.revocation = policy;
-  granted.origin = CapOrigin::kGrant;
-  granted.parent = src_cap;
-  outcome.granted = granted.id;
-  caps_[src_cap].children.push_back(granted.id);
-  caps_[src_cap].state = CapState::kDonated;
-
-  outcome.effects.Add(CapEffect{CapEffect::Kind::kDetachUnit, requester, kind, AddrRange{},
-                                unit, Perms{}});
-  outcome.effects.Add(
-      CapEffect{CapEffect::Kind::kAttachUnit, dst, kind, AddrRange{}, unit, Perms{}});
+  const auto mint = [&](CapDomainId owner, CapOrigin origin) -> Capability& {
+    Capability& cap = NewCap(owner, src->kind);
+    cap.unit = request.memory ? 0 : src->unit;
+    cap.origin = origin;
+    cap.parent = src->id;
+    src->children.push_back(cap.id);
+    return cap;
+  };
+  Capability& child = mint(request.dst, request.grant ? CapOrigin::kGrant : CapOrigin::kShare);
+  child.range = sub;
+  child.perms = request.perms;
+  child.rights = request.rights;
+  child.revocation = request.policy;
+  outcome.granted = child.id;
+  // A grant's effects go to its outcome, a share's to the caller's list.
+  CapEffects* sink = request.grant ? &outcome.effects : effects;
+  if (request.grant) {
+    if (request.memory) {
+      for (const AddrRange& piece : RemainderPieces(src->range, sub)) {
+        Capability& rem = mint(request.requester, CapOrigin::kRemainder);
+        rem.range = piece;
+        rem.perms = src->perms;
+        rem.rights = src->rights;
+        rem.revocation = src->revocation;
+        outcome.remainders.push_back(rem.id);
+      }
+    }
+    src->state = CapState::kDonated;
+    // The grantor loses access to the granted resource; the recipient gains it.
+    sink->Add(request.memory ? CapEffect{CapEffect::Kind::kUnmapMemory, request.requester,
+                                         src->kind, sub, 0, src->perms}
+                             : CapEffect{CapEffect::Kind::kDetachUnit, request.requester,
+                                         src->kind, AddrRange{}, src->unit, Perms{}});
+  }
+  if (sink != nullptr) {
+    sink->Add(request.memory ? CapEffect{CapEffect::Kind::kMapMemory, request.dst, src->kind,
+                                         sub, 0, request.perms}
+                             : CapEffect{CapEffect::Kind::kAttachUnit, request.dst, src->kind,
+                                         AddrRange{}, src->unit, Perms{}});
+  }
   return outcome;
 }
 
@@ -563,6 +480,7 @@ Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
 }
 
 std::vector<const Capability*> CapabilityEngine::DomainCaps(CapDomainId domain) const {
+  const ScopedPhase phase(DispatchPhase::kEngine);
   std::shared_lock lock(mu_);
   std::vector<const Capability*> out;
   const auto owned_it = owned_.find(domain);
@@ -618,6 +536,7 @@ bool CapabilityEngine::HasUnit(CapDomainId domain, ResourceKind kind, uint64_t u
 }
 
 uint32_t CapabilityEngine::MemoryRefCount(AddrRange range) const {
+  const ScopedPhase phase(DispatchPhase::kEngine);
   std::shared_lock lock(mu_);
   std::set<CapDomainId> holders;
   for (const auto& [id, cap] : caps_) {
@@ -629,6 +548,7 @@ uint32_t CapabilityEngine::MemoryRefCount(AddrRange range) const {
 }
 
 uint32_t CapabilityEngine::UnitRefCount(ResourceKind kind, uint64_t unit) const {
+  const ScopedPhase phase(DispatchPhase::kEngine);
   std::shared_lock lock(mu_);
   std::set<CapDomainId> holders;
   for (const auto& [id, cap] : caps_) {
@@ -640,6 +560,7 @@ uint32_t CapabilityEngine::UnitRefCount(ResourceKind kind, uint64_t unit) const 
 }
 
 bool CapabilityEngine::ExclusivelyOwned(CapDomainId domain, AddrRange range) const {
+  const ScopedPhase phase(DispatchPhase::kEngine);
   std::shared_lock lock(mu_);
   if (range.empty()) {
     return false;
@@ -725,6 +646,7 @@ std::vector<CapabilityEngine::MappedRegion> CapabilityEngine::DomainMemoryMap(
 }
 
 std::vector<RegionView> CapabilityEngine::MemoryView(uint64_t limit) const {
+  const ScopedPhase phase(DispatchPhase::kEngine);
   std::shared_lock lock(mu_);
   return MemoryViewLocked(limit);
 }

@@ -261,6 +261,27 @@ class CapabilityEngine {
   // Checks the sealing rules for moving resources from src_owner to dst.
   Status CheckSealingRules(CapDomainId src_owner, CapDomainId dst) const;
 
+  // One request to the transfer core. `sub` and `perms` are read for memory
+  // only; units move whole.
+  struct TransferRequest {
+    bool grant = false;
+    bool memory = false;
+    CapDomainId requester = 0;
+    CapId src_cap = kInvalidCap;
+    CapDomainId dst = 0;
+    AddrRange sub;
+    Perms perms;
+    CapRights rights;
+    RevocationPolicy policy;
+  };
+  // The one body behind ShareMemory/GrantMemory/ShareUnit/GrantUnit:
+  // validates (owner, active, kind, share/grant right, sub-range and perms
+  // for memory, rights, sealing -- in that order, before any id is
+  // consumed), mints the child, and for a grant the remainders and the
+  // donation. A share's effects go to `effects` (may be null); a grant's go
+  // to the outcome. For a share, `granted` is the new child.
+  Result<GrantOutcome> Transfer(const TransferRequest& request, CapEffects* effects);
+
   // Cascade: deactivates the subtree rooted at `cap` (inclusive), appending
   // effects and the deactivated ids. Returns number of caps deactivated.
   uint64_t RevokeSubtree(CapId cap, std::set<CapId>* visited, CapEffects* effects,

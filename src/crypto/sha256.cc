@@ -168,6 +168,14 @@ std::string Digest::ToHex() const {
   return out;
 }
 
+uint64_t DigestPrefix64(const Digest& digest) {
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    prefix |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
+  }
+  return prefix;
+}
+
 void Sha256::Reset() {
   state_[0] = 0x6a09e667;
   state_[1] = 0xbb67ae85;

@@ -35,6 +35,10 @@ struct Digest {
   std::string ToHex() const;
 };
 
+// The first 8 bytes of a digest as a little-endian u64: the short form that
+// journal records, wire checksums and cache keys carry.
+uint64_t DigestPrefix64(const Digest& digest);
+
 // Incremental SHA-256 context.
 class Sha256 {
  public:

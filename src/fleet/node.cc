@@ -58,14 +58,6 @@ Digest FleetSessionAck(const Digest& secret, uint32_t node, uint64_t epoch,
   return SessionMac(secret, "tyche-resume-ack-v1", fields, &measurement);
 }
 
-uint64_t DigestPrefix64(const Digest& digest) {
-  uint64_t prefix = 0;
-  for (int i = 0; i < 8; ++i) {
-    prefix |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return prefix;
-}
-
 std::vector<uint8_t> EncodeFleetRequest(const FleetRequest& request) {
   SectionWriter writer;
   writer.Append<uint32_t>(kRequestMagic);

@@ -80,9 +80,6 @@ bool DecodeFleetRequest(std::span<const uint8_t> bytes, FleetRequest* out);
 std::vector<uint8_t> EncodeFleetResponse(const FleetResponse& response);
 bool DecodeFleetResponse(std::span<const uint8_t> bytes, FleetResponse* out);
 
-// First 8 bytes of a digest, little-endian (cache keys, seeds).
-uint64_t DigestPrefix64(const Digest& digest);
-
 // Session-resumption MACs (DESIGN.md §13). Both sides derive `secret` via
 // DhSharedSecret, so both can compute — and neither can forge to a third
 // party — the epoch-bound token and the per-response ack.

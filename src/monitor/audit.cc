@@ -120,81 +120,32 @@ void AuditJournal::MintUnit(uint64_t span, uint32_t owner, uint64_t cap, Resourc
   journal_.Append(record);
 }
 
-void AuditJournal::ShareMemory(uint64_t span, uint32_t requester, uint32_t dst,
-                               uint64_t src_cap, uint64_t child, AddrRange sub, Perms perms,
-                               CapRights rights, RevocationPolicy policy) {
+void AuditJournal::Transfer(uint64_t span, uint32_t requester, const GrantOutcome& outcome,
+                            const CapabilityEngine& engine) {
   if (!enabled()) {
     return;
   }
-  JournalRecord record = Base(span, JournalEvent::kShareMemory);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = child;
-  record.base = sub.base;
-  record.size = sub.size;
-  record.perms = perms.mask;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  journal_.Append(record);
-}
-
-void AuditJournal::GrantMemory(uint64_t span, uint32_t requester, uint32_t dst,
-                               uint64_t src_cap, uint64_t granted, AddrRange sub, Perms perms,
-                               CapRights rights, RevocationPolicy policy,
-                               uint64_t remainder_count) {
-  if (!enabled()) {
+  const auto created = engine.Get(outcome.granted);
+  if (!created.ok()) {
     return;
   }
-  JournalRecord record = Base(span, JournalEvent::kGrantMemory);
+  const Capability& cap = **created;
+  const bool memory = cap.kind == ResourceKind::kMemory;
+  const bool grant = cap.origin == CapOrigin::kGrant;
+  JournalRecord record =
+      Base(span, memory ? (grant ? JournalEvent::kGrantMemory : JournalEvent::kShareMemory)
+                        : (grant ? JournalEvent::kGrantUnit : JournalEvent::kShareUnit));
   record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = granted;
-  record.base = sub.base;
-  record.size = sub.size;
-  record.perms = perms.mask;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.aux = remainder_count;
-  record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  journal_.Append(record);
-}
-
-void AuditJournal::ShareUnit(uint64_t span, uint32_t requester, uint32_t dst,
-                             uint64_t src_cap, uint64_t child, ResourceKind kind,
-                             uint64_t unit, CapRights rights, RevocationPolicy policy) {
-  if (!enabled()) {
-    return;
-  }
-  JournalRecord record = Base(span, JournalEvent::kShareUnit);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = child;
-  record.base = unit;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.resource = static_cast<uint8_t>(kind);
-  journal_.Append(record);
-}
-
-void AuditJournal::GrantUnit(uint64_t span, uint32_t requester, uint32_t dst,
-                             uint64_t src_cap, uint64_t granted, ResourceKind kind,
-                             uint64_t unit, CapRights rights, RevocationPolicy policy) {
-  if (!enabled()) {
-    return;
-  }
-  JournalRecord record = Base(span, JournalEvent::kGrantUnit);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = granted;
-  record.base = unit;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.resource = static_cast<uint8_t>(kind);
+  record.dst = cap.owner;
+  record.parent = cap.parent;
+  record.cap = cap.id;
+  record.base = memory ? cap.range.base : cap.unit;
+  record.size = cap.range.size;
+  record.perms = cap.perms.mask;
+  record.rights = cap.rights.mask;
+  record.policy = cap.revocation.mask;
+  record.aux = outcome.remainders.size();
+  record.resource = static_cast<uint8_t>(cap.kind);
   journal_.Append(record);
 }
 

@@ -50,18 +50,12 @@ class AuditJournal {
                   CapRights rights);
   void MintUnit(uint64_t span, uint32_t owner, uint64_t cap, ResourceKind kind, uint64_t unit,
                 CapRights rights);
-  void ShareMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                   uint64_t child, AddrRange sub, Perms perms, CapRights rights,
-                   RevocationPolicy policy);
-  void GrantMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                   uint64_t granted, AddrRange sub, Perms perms, CapRights rights,
-                   RevocationPolicy policy, uint64_t remainder_count);
-  void ShareUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                 uint64_t child, ResourceKind kind, uint64_t unit, CapRights rights,
-                 RevocationPolicy policy);
-  void GrantUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                 uint64_t granted, ResourceKind kind, uint64_t unit, CapRights rights,
-                 RevocationPolicy policy);
+  // One committed share or grant, filled from the capability it created:
+  // kShareMemory/kGrantMemory/kShareUnit/kGrantUnit by the cap's origin and
+  // kind. Memory records carry the sub-range and perms, unit records the
+  // unit in `base`; aux is the grant's remainder count.
+  void Transfer(uint64_t span, uint32_t requester, const GrantOutcome& outcome,
+                const CapabilityEngine& engine);
   // Emits kRevoke plus one kCascade per deactivated capability plus kRestore
   // when the revocation returned ownership: N+1 records, one span.
   void Revoke(uint64_t span, uint32_t requester, uint64_t cap, const RevokeOutcome& outcome,

@@ -53,14 +53,6 @@ struct PayloadImage {
   std::vector<std::pair<uint64_t, std::string>> pages;  // base -> content
 };
 
-uint64_t Prefix64(const Digest& digest) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return value;
-}
-
 // The statement the source signs: its measured identity vouches that THIS
 // state image describes THIS domain. Domain-bound so a payload cannot be
 // replayed as a different domain's state.
@@ -90,7 +82,7 @@ std::vector<uint8_t> EncodeFrame(std::span<const uint8_t> payload, uint64_t chun
   std::vector<uint8_t> frame = w.Take();
   frame.insert(frame.end(), body.begin(), body.end());
   SectionWriter tail;
-  tail.Append<uint64_t>(Prefix64(Sha256::Hash(body)));
+  tail.Append<uint64_t>(DigestPrefix64(Sha256::Hash(body)));
   const std::vector<uint8_t> checksum = tail.Take();
   frame.insert(frame.end(), checksum.begin(), checksum.end());
   return frame;
@@ -117,7 +109,7 @@ bool DecodeFrame(std::span<const uint8_t> frame, DecodedFrame* out) {
   out->bytes.assign(body.begin(), body.end());
   uint64_t checksum = 0;
   SectionReader tail(frame.subspan(frame.size() - 8));
-  return tail.Read(&checksum) && checksum == Prefix64(Sha256::Hash(body));
+  return tail.Read(&checksum) && checksum == DigestPrefix64(Sha256::Hash(body));
 }
 
 }  // namespace
@@ -137,24 +129,8 @@ class MigrationInternal {
     Digest payload_digest;
     uint64_t source_head_prefix = 0;  // source chain head at capture
     CapId handle_cap = kInvalidCap;
-    struct MemGrant {
-      CapId src_cap = kInvalidCap;
-      GrantOutcome outcome;
-      AddrRange sub;
-      Perms perms;
-      CapRights rights;
-      RevocationPolicy policy;
-    };
-    struct UnitGrant {
-      CapId src_cap = kInvalidCap;
-      GrantOutcome outcome;
-      ResourceKind kind = ResourceKind::kCpuCore;
-      uint64_t unit = 0;
-      CapRights rights;
-      RevocationPolicy policy;
-    };
-    std::vector<MemGrant> mem_grants;
-    std::vector<UnitGrant> unit_grants;
+    // Adoption grants in mint order: replay re-mints in journal order.
+    std::vector<GrantOutcome> grants;
     std::vector<std::pair<uint64_t, std::string>> pages;
   };
 
@@ -199,7 +175,6 @@ class MigrationInternal {
   static void RollbackDest(Monitor* dest, const StagedAdoption& staged,
                            const EngineImage& pre_engine, DomainId pre_next_domain,
                            uint16_t pre_next_asid);
-  static Status CommitSourceTeardown(Monitor* source, DomainId domain, uint64_t span);
 };
 
 Status MigrationInternal::Freeze(Monitor* source, Monitor* dest, DomainId domain) {
@@ -334,7 +309,7 @@ Result<std::vector<uint8_t>> MigrationInternal::BuildPayload(Monitor* source,
   // Checkpoint + export: the shipped provenance journal always has a signed
   // covered tail, so the destination verifies it under the strict rule.
   std::vector<uint8_t> journal_bytes = source->audit_.Export();
-  *head_prefix = Prefix64(source->audit_.journal().head());
+  *head_prefix = DigestPrefix64(source->audit_.journal().head());
 
   const SchnorrSignature sig =
       SchnorrSign(source->key_.priv, BindingDigest(*payload_digest, domain));
@@ -367,7 +342,7 @@ Result<std::vector<uint8_t>> MigrationInternal::Transfer(Monitor* source,
   // migrations.
   Prng backoff_prng(options.backoff_seed != 0
                         ? options.backoff_seed
-                        : Prefix64(report->payload_digest) ^ 0x6261636b6f6666ULL);
+                        : DigestPrefix64(report->payload_digest) ^ 0x6261636b6f6666ULL);
   const BackoffPolicy backoff{/*base=*/CostModel::Default().vmcall_round_trip,
                               /*cap=*/CostModel::Default().vmcall_round_trip
                                   << 10};
@@ -590,8 +565,7 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
           GrantOutcome outcome,
           staged.engine.GrantMemory(/*requester=*/0, covering, staged.new_id, cap.range,
                                     cap.perms, cap.rights, cap.policy));
-      staged.mem_grants.push_back(
-          {covering, std::move(outcome), cap.range, cap.perms, cap.rights, cap.policy});
+      staged.grants.push_back(std::move(outcome));
     } else {
       CapId covering = kInvalidCap;
       for (const Capability* own : staged.engine.DomainCaps(0)) {
@@ -607,8 +581,7 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
       TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
                              staged.engine.GrantUnit(/*requester=*/0, covering,
                                                      staged.new_id, cap.rights, cap.policy));
-      staged.unit_grants.push_back(
-          {covering, std::move(outcome), cap.kind, cap.unit, cap.rights, cap.policy});
+      staged.grants.push_back(std::move(outcome));
     }
   }
   staged.engine.SealDomain(staged.new_id);
@@ -646,42 +619,6 @@ void MigrationInternal::RollbackDest(Monitor* dest, const StagedAdoption& staged
     TYCHE_LOG(kError) << "migration rollback: destination re-sync degraded: "
                       << sync.ToString();
   }
-}
-
-Status MigrationInternal::CommitSourceTeardown(Monitor* source, DomainId domain,
-                                               uint64_t span) {
-  // Mirror of the DestroyDomain commit path: the handoff is already
-  // journaled, so the source side is never rolled back -- push through every
-  // cleanup step and report the first failure as contained.
-  std::vector<std::pair<CapId, RevokeOutcome>> partial;
-  const auto purged = source->engine_.PurgeDomain(domain, &partial);
-  Status first = OkStatus();
-  if (!purged.ok()) {
-    for (const auto& [root, committed] : partial) {
-      source->audit_.Revoke(span, domain, root, committed, source->engine_);
-      source->Count(source->counters_.revocations_cascaded, committed.revoked_count);
-      const Status projected = source->ApplyEffects(committed.effects, span);
-      if (!projected.ok()) {
-        TYCHE_LOG(kWarn) << "migration: partial-purge effects degraded to fail-safe: "
-                         << projected.ToString();
-      }
-    }
-    first = purged.status();
-  } else {
-    source->audit_.PurgeDomain(span, domain, *purged, source->engine_);
-    source->Count(source->counters_.revocations_cascaded, purged->revoked_count);
-    first = source->ApplyEffects(purged->effects, span);
-  }
-  const Status context = source->backend_->DestroyDomainContext(domain);
-  if (!context.ok() && first.ok()) {
-    first = context;
-  }
-  source->machine_->interrupts().PurgeDomain(domain);
-  source->domains_.at(domain).state = DomainState::kDead;
-  if (!first.ok()) {
-    source->audit_.Abort(span, static_cast<uint16_t>(ApiOp::kOpCount), domain, first.code());
-  }
-  return first;
 }
 
 Result<MigrationReport> MigrationInternal::RunFrozen(Monitor* source, Monitor* dest,
@@ -749,21 +686,16 @@ Result<MigrationReport> MigrationInternal::RunFrozen(Monitor* source, Monitor* d
   dest->audit_.RegisterDomain(in_span, staged.new_id, /*creator=*/0);
   dest->audit_.MintUnit(in_span, /*owner=*/0, staged.handle_cap, ResourceKind::kDomain,
                         staged.new_id, CapRights(CapRights::kAll));
-  for (const StagedAdoption::MemGrant& grant : staged.mem_grants) {
-    dest->audit_.GrantMemory(in_span, /*requester=*/0, staged.new_id, grant.src_cap,
-                             grant.outcome.granted, grant.sub, grant.perms, grant.rights,
-                             grant.policy, grant.outcome.remainders.size());
-  }
-  for (const StagedAdoption::UnitGrant& grant : staged.unit_grants) {
-    dest->audit_.GrantUnit(in_span, /*requester=*/0, staged.new_id, grant.src_cap,
-                           grant.outcome.granted, grant.kind, grant.unit, grant.rights,
-                           grant.policy);
+  for (const GrantOutcome& grant : staged.grants) {
+    dest->audit_.Transfer(in_span, /*requester=*/0, grant, dest->engine_);
   }
   dest->audit_.SealDomain(in_span, staged.new_id, staged.adopted.measurement,
                           staged.adopted.entry_point);
-  dest->audit_.MigrateIn(in_span, staged.new_id, payload_digest, Prefix64(out_link));
+  dest->audit_.MigrateIn(in_span, staged.new_id, payload_digest, DigestPrefix64(out_link));
 
-  const Status teardown = CommitSourceTeardown(source, domain, out_span);
+  // The handoff is journaled: the source side is never rolled back.
+  const Status teardown = source->PurgeCommit(domain, out_span, ApiOp::kOpCount, domain,
+                                              /*committed=*/true);
   source->frozen_.erase(domain);
   if (!teardown.ok()) {
     TYCHE_LOG(kWarn) << "migration committed; source teardown degraded: "

@@ -835,138 +835,122 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
       return Error(ErrorCode::kFailedPrecondition, "domain is on a transition stack");
     }
   }
-  const uint64_t span = SpanForCore(core);
+  return PurgeCommit(target, SpanForCore(core), ApiOp::kDestroyDomain, caller,
+                     /*committed=*/false);
+}
+
+Status Monitor::PurgeCommit(DomainId target, uint64_t span, ApiOp op, DomainId requester,
+                            bool committed) {
   std::vector<std::pair<CapId, RevokeOutcome>> partial;
   const auto purged = engine_.PurgeDomain(target, &partial);
+  Status first = OkStatus();
   if (!purged.ok()) {
-    // The purge aborted mid-cascade: the domain is still registered and
-    // alive, but the per-root revocations that DID commit are real. Journal
-    // each as an ordinary revoke (the target owns its own roots, so replay
-    // authorization holds), project its effects so hardware tracks the tree,
-    // and surface the typed error. A retry purges whatever remains; its
-    // kPurgeDomain record then replays against the same remainder.
-    for (const auto& [root, committed] : partial) {
-      audit_.Revoke(span, target, root, committed, engine_);
-      Count(counters_.revocations_cascaded, committed.revoked_count);
-      const Status projected = ApplyEffects(committed.effects, span);
+    // The purge aborted mid-cascade: the domain is still registered, but the
+    // per-root revocations that DID commit are real. Journal each as an
+    // ordinary revoke (the target owns its own roots, so replay
+    // authorization holds) and project its effects so hardware tracks the
+    // tree. A retry purges whatever remains; its kPurgeDomain record then
+    // replays against the same remainder.
+    for (const auto& [root, done] : partial) {
+      audit_.Revoke(span, target, root, done, engine_);
+      Count(counters_.revocations_cascaded, done.revoked_count);
+      const Status projected = ApplyEffects(done.effects, span);
       if (!projected.ok()) {
-        TYCHE_LOG(kWarn) << "destroy: partial-purge effects degraded to fail-safe: "
+        TYCHE_LOG(kWarn) << "purge: partial-purge effects degraded to fail-safe: "
                          << projected.ToString();
       }
     }
-    audit_.Abort(span, static_cast<uint16_t>(ApiOp::kDestroyDomain), caller,
-                 purged.status().code());
-    return purged.status();
+    first = purged.status();
+  } else {
+    audit_.PurgeDomain(span, target, *purged, engine_);
+    Count(counters_.revocations_cascaded, purged->revoked_count);
+    first = ApplyEffects(purged->effects, span);
   }
-  const RevokeOutcome& outcome = *purged;
-  audit_.PurgeDomain(span, target, outcome, engine_);
-  Count(counters_.revocations_cascaded, outcome.revoked_count);
-  // The engine purge is the commit point: teardown is never rolled back,
-  // because a dead domain with live hardware state would be the worst torn
-  // state of all. Push through every cleanup step (failed projections have
-  // already fail-safed to deny), mark the domain dead, and report the first
-  // failure as a terminal-but-contained error.
-  Status first = ApplyEffects(outcome.effects, span);
-  const Status context = backend_->DestroyDomainContext(target);
-  if (!context.ok() && first.ok()) {
-    first = context;
+  // A successful purge -- or any purge of a committed handoff -- is the
+  // commit point: teardown is never rolled back, because a dead domain with
+  // live hardware state would be the worst torn state of all. Push through
+  // every cleanup step (failed projections have already fail-safed to
+  // deny), mark the domain dead, and report the first failure as a
+  // terminal-but-contained error.
+  if (purged.ok() || committed) {
+    const Status context = backend_->DestroyDomainContext(target);
+    if (!context.ok() && first.ok()) {
+      first = context;
+    }
+    machine_->interrupts().PurgeDomain(target);
+    domains_.at(target).state = DomainState::kDead;
   }
-  machine_->interrupts().PurgeDomain(target);
-  TYCHE_ASSIGN_OR_RETURN(TrustDomain * domain, GetDomainMutable(target));
-  domain->state = DomainState::kDead;
   if (!first.ok()) {
-    audit_.Abort(span, static_cast<uint16_t>(ApiOp::kDestroyDomain), caller, first.code());
+    audit_.Abort(span, static_cast<uint16_t>(op), requester, first.code());
   }
   return first;
+}
+
+Result<GrantOutcome> Monitor::Transfer(ApiOp op, CoreId core, CapId src_cap,
+                                      CapId dst_domain_handle, AddrRange sub, Perms perms,
+                                      CapRights rights, RevocationPolicy policy) {
+  TYCHE_RETURN_IF_ERROR(ChargeCall(op));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
+                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
+  const uint64_t span = SpanForCore(core);
+  GrantOutcome outcome;
+  if (op == ApiOp::kShareMemory) {
+    TYCHE_ASSIGN_OR_RETURN(outcome.granted,
+                           engine_.ShareMemory(caller, src_cap, dst, sub, perms, rights,
+                                               policy, &outcome.effects));
+  } else if (op == ApiOp::kShareUnit) {
+    TYCHE_ASSIGN_OR_RETURN(outcome.granted, engine_.ShareUnit(caller, src_cap, dst, rights,
+                                                              policy, &outcome.effects));
+  } else if (op == ApiOp::kGrantMemory) {
+    TYCHE_ASSIGN_OR_RETURN(
+        outcome, engine_.GrantMemory(caller, src_cap, dst, sub, perms, rights, policy));
+  } else {
+    TYCHE_ASSIGN_OR_RETURN(outcome, engine_.GrantUnit(caller, src_cap, dst, rights, policy));
+  }
+  audit_.Transfer(span, caller, outcome, engine_);
+  const Status applied = ApplyEffects(outcome.effects, span);
+  if (!applied.ok()) {
+    // Compensate: the hardware could not accommodate the new mapping (e.g.
+    // PMP exhaustion); roll the capability back so tree and hardware agree.
+    return RollbackTransfer(op, span, caller, dst, outcome.granted, applied);
+  }
+  const bool grant = op == ApiOp::kGrantMemory || op == ApiOp::kGrantUnit;
+  Count(grant ? counters_.grants : counters_.shares);
+  return outcome;
 }
 
 Result<CapId> Monitor::ShareMemory(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                    AddrRange sub, Perms perms, CapRights rights,
                                    RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kShareMemory));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  CapEffects effects;
-  TYCHE_ASSIGN_OR_RETURN(
-      const CapId child,
-      engine_.ShareMemory(caller, src_cap, dst, sub, perms, rights, policy, &effects));
-  audit_.ShareMemory(span, caller, dst, src_cap, child, sub, perms, rights, policy);
-  const Status applied = ApplyEffects(effects, span);
-  if (!applied.ok()) {
-    // Compensate: the hardware could not accommodate the new mapping (e.g.
-    // PMP exhaustion); roll the capability back so tree and hardware agree.
-    return RollbackTransfer(ApiOp::kShareMemory, span, caller, dst, child, applied);
-  }
-  Count(counters_.shares);
-  return child;
+  TYCHE_ASSIGN_OR_RETURN(const GrantOutcome outcome,
+                         Transfer(ApiOp::kShareMemory, core, src_cap, dst_domain_handle, sub,
+                                  perms, rights, policy));
+  return outcome.granted;
 }
 
 Result<GrantResult> Monitor::GrantMemory(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                          AddrRange sub, Perms perms, CapRights rights,
                                          RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kGrantMemory));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome, engine_.GrantMemory(caller, src_cap, dst, sub,
-                                                                   perms, rights, policy));
-  audit_.GrantMemory(span, caller, dst, src_cap, outcome.granted, sub, perms, rights, policy,
-                     outcome.remainders.size());
-  const Status applied = ApplyEffects(outcome.effects, span);
-  if (!applied.ok()) {
-    // Revoking the granted capability mints a restore capability back to the
-    // grantor (the engine's grant-revocation rule), so the rollback is
-    // access-equivalent to the pre-grant state.
-    return RollbackTransfer(ApiOp::kGrantMemory, span, caller, dst, outcome.granted,
-                            applied);
-  }
-  Count(counters_.grants);
-  return GrantResult{outcome.granted, outcome.remainders};
+  TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
+                         Transfer(ApiOp::kGrantMemory, core, src_cap, dst_domain_handle, sub,
+                                  perms, rights, policy));
+  return GrantResult{outcome.granted, std::move(outcome.remainders)};
 }
 
 Result<CapId> Monitor::ShareUnit(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                  CapRights rights, RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kShareUnit));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  CapEffects effects;
-  TYCHE_ASSIGN_OR_RETURN(const CapId child,
-                         engine_.ShareUnit(caller, src_cap, dst, rights, policy, &effects));
-  if (const auto child_cap = engine_.Get(child); child_cap.ok()) {
-    audit_.ShareUnit(span, caller, dst, src_cap, child, (*child_cap)->kind,
-                     (*child_cap)->unit, rights, policy);
-  }
-  const Status applied = ApplyEffects(effects, span);
-  if (!applied.ok()) {
-    return RollbackTransfer(ApiOp::kShareUnit, span, caller, dst, child, applied);
-  }
-  Count(counters_.shares);
-  return child;
+  TYCHE_ASSIGN_OR_RETURN(const GrantOutcome outcome,
+                         Transfer(ApiOp::kShareUnit, core, src_cap, dst_domain_handle, {}, {},
+                                  rights, policy));
+  return outcome.granted;
 }
 
 Result<CapId> Monitor::GrantUnit(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                  CapRights rights, RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kGrantUnit));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
-                         engine_.GrantUnit(caller, src_cap, dst, rights, policy));
-  if (const auto granted = engine_.Get(outcome.granted); granted.ok()) {
-    audit_.GrantUnit(span, caller, dst, src_cap, outcome.granted, (*granted)->kind,
-                     (*granted)->unit, rights, policy);
-  }
-  const Status applied = ApplyEffects(outcome.effects, span);
-  if (!applied.ok()) {
-    return RollbackTransfer(ApiOp::kGrantUnit, span, caller, dst, outcome.granted, applied);
-  }
-  Count(counters_.grants);
+  TYCHE_ASSIGN_OR_RETURN(const GrantOutcome outcome,
+                         Transfer(ApiOp::kGrantUnit, core, src_cap, dst_domain_handle, {}, {},
+                                  rights, policy));
   return outcome.granted;
 }
 

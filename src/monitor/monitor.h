@@ -353,11 +353,27 @@ class Monitor {
   // Applies an effect list produced by the capability engine to hardware,
   // journaling each applied effect under `span`.
   Status ApplyEffects(const CapEffects& effects, uint64_t span);
+  // The one share/grant commit behind ShareMemory/GrantMemory/ShareUnit/
+  // GrantUnit (`op` picks the engine call; `sub`/`perms` are unused for
+  // units): resolve the destination, run the engine transfer, journal it,
+  // project its effects, and roll back on a projection failure.
+  Result<GrantOutcome> Transfer(ApiOp op, CoreId core, CapId src_cap, CapId dst_domain_handle,
+                                AddrRange sub, Perms perms, CapRights rights,
+                                RevocationPolicy policy);
+  // The one purge commit behind DestroyDomain and a migration's source
+  // teardown: purge `target` from the engine, journal it, project its
+  // effects, then destroy its backend context, drop its interrupt routes and
+  // mark it dead. A purge that fails mid-cascade journals and projects the
+  // roots that did commit; unless `committed` (the caller's commit point has
+  // passed) it then stops, leaving the domain alive for a retry. Any failure
+  // ends with an abort record for (`op`, `requester`) and is returned.
+  Status PurgeCommit(DomainId target, uint64_t span, ApiOp op, DomainId requester,
+                     bool committed);
   // Rolls back a share/grant whose hardware projection failed: revokes the
   // capability the operation created (as `owner`, the recipient — an owner
   // may always drop its own capability), applies the compensating effects,
   // and journals the compensation plus an abort record so replay stays in
-  // lockstep. Returns `cause` so callers can `return RollbackTransfer(...)`.
+  // lockstep. Returns `cause`.
   Status RollbackTransfer(ApiOp op, uint64_t span, DomainId requester, DomainId owner,
                           CapId created, const Status& cause);
   // Re-binds a shared device: attached iff exactly one domain holds it.

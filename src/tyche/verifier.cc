@@ -138,18 +138,6 @@ Status CustomerVerifier::CheckSharingPolicy(const DomainAttestation& report,
   return OkStatus();
 }
 
-namespace {
-
-uint64_t LinkPrefix64(const Digest& digest) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
 Result<DomainAttestation> VerifySerializedReport(
     std::span<const uint8_t> bytes, const SchnorrPublicKey& monitor_key,
     uint64_t expected_nonce, const Digest* expected_measurement) {
@@ -265,7 +253,7 @@ Status VerifyJournalSplice(std::span<const uint8_t> source_journal,
       // The payload digest identifies the handoff (domain ids differ across
       // monitors); the aux link pins it to one specific source record.
       if (matched[i] || PackedSealDigest(out) != in_digest ||
-          in.aux != LinkPrefix64(out.link)) {
+          in.aux != DigestPrefix64(out.link)) {
         continue;
       }
       matched[i] = true;

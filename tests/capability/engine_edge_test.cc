@@ -353,5 +353,188 @@ TEST_F(EngineEdgeTest, PurgeFailureOnFirstRootCommitsNothing) {
   EXPECT_TRUE((*engine_.Get(a))->active());
 }
 
+
+// Every rejection of the four transfer entry points, each sent through every
+// entry point it applies to, with the ErrorCode pinned. Rows that break two
+// rules at once pin which check runs first. A rejection must consume no id:
+// the journal's replay relies on validation preceding any mint.
+class TransferRejectionTest : public EngineEdgeTest {
+ protected:
+  // Domain 3 is sealed (a destination); 4 is sealed with caps of its own and
+  // created 5 before sealing.
+  TransferRejectionTest() {
+    engine_.RegisterDomain(3, 0);
+    engine_.RegisterDomain(4, 0);
+    engine_.RegisterDomain(5, 4);
+    const CapRights all(CapRights::kAll);
+    const CapRights no_share(CapRights::kGrant | CapRights::kRevoke | CapRights::kManage);
+    const CapRights no_grant(CapRights::kShare | CapRights::kRevoke | CapRights::kManage);
+    const CapRights narrow(CapRights::kShare | CapRights::kGrant);
+    const CapRights rights[] = {all, no_share, no_grant, narrow, all};
+    for (int i = 0; i < 5; ++i) {
+      mem_[i] = *engine_.MintMemory(0, AddrRange{i * kMiB, kMiB}, Perms(Perms::kRW), rights[i]);
+      unit_[i] = *engine_.MintUnit(0, ResourceKind::kCpuCore, i, rights[i]);
+    }
+    EXPECT_TRUE(engine_.Revoke(0, mem_[kInactive]).ok());
+    EXPECT_TRUE(engine_.Revoke(0, unit_[kInactive]).ok());
+    sealed_mem_ = *engine_.MintMemory(4, AddrRange{8 * kMiB, kMiB}, Perms(Perms::kRW), all);
+    sealed_unit_ = *engine_.MintUnit(4, ResourceKind::kCpuCore, 8, all);
+    engine_.SealDomain(3);
+    engine_.SealDomain(4);
+  }
+
+  enum Source {
+    kAll, kNoShare, kNoGrant, kNarrow, kInactive, kSealedOwner,
+    // The cap of the other kind: a memory entry point gets a unit cap and a
+    // unit entry point a memory cap.
+    kOtherKind, kOtherKindInactive, kOtherKindNoShare,
+  };
+  enum Entry { kShareMemory, kGrantMemory, kShareUnit, kGrantUnit };
+
+  // The source cap an entry point sees for `source`.
+  CapId SourceFor(Entry entry, Source source) const {
+    const bool memory = entry == kShareMemory || entry == kGrantMemory;
+    switch (source) {
+      case kSealedOwner:
+        return memory ? sealed_mem_ : sealed_unit_;
+      case kOtherKind:
+        return memory ? unit_[kAll] : mem_[kAll];
+      case kOtherKindInactive:
+        return memory ? unit_[kInactive] : mem_[kInactive];
+      case kOtherKindNoShare:
+        return memory ? unit_[kNoShare] : mem_[kNoShare];
+      default:
+        return memory ? mem_[source] : unit_[source];
+    }
+  }
+
+  ErrorCode Send(Entry entry, CapDomainId requester, CapId src, CapDomainId dst,
+                 AddrRange sub, uint8_t perms, uint8_t rights) {
+    const RevocationPolicy policy;
+    CapEffects effects;
+    switch (entry) {
+      case kShareMemory:
+        return engine_.ShareMemory(requester, src, dst, sub, Perms(perms), CapRights(rights),
+                                   policy, &effects).code();
+      case kGrantMemory:
+        return engine_.GrantMemory(requester, src, dst, sub, Perms(perms), CapRights(rights),
+                                   policy).code();
+      case kShareUnit:
+        return engine_.ShareUnit(requester, src, dst, CapRights(rights), policy, &effects)
+            .code();
+      case kGrantUnit:
+        return engine_.GrantUnit(requester, src, dst, CapRights(rights), policy).code();
+    }
+    return ErrorCode::kOk;
+  }
+
+  CapId mem_[5] = {};
+  CapId unit_[5] = {};
+  CapId sealed_mem_ = kInvalidCap;
+  CapId sealed_unit_ = kInvalidCap;
+};
+
+TEST_F(TransferRejectionTest, EveryRejectionThroughEveryEntryPoint) {
+  constexpr uint64_t kPage = kPageSize;
+  constexpr uint8_t kRW = Perms::kRW;
+  constexpr uint8_t kAllRights = CapRights::kAll;
+  const AddrRange ok_sub{0, 4 * kPage};
+  struct Row {
+    const char* what;
+    std::vector<Entry> entries;
+    CapDomainId requester;
+    Source source;
+    CapDomainId dst;
+    AddrRange sub;  // offset into the source's range (memory entry points)
+    uint8_t perms;
+    uint8_t rights;
+    ErrorCode want;
+  };
+  const std::vector<Entry> every = {kShareMemory, kGrantMemory, kShareUnit, kGrantUnit};
+  const std::vector<Entry> memory = {kShareMemory, kGrantMemory};
+  const std::vector<Entry> shares = {kShareMemory, kShareUnit};
+  const std::vector<Entry> grants = {kGrantMemory, kGrantUnit};
+  const std::vector<Row> rows = {
+      // One failing rule each.
+      {"not owner", every, 1, kAll, 2, ok_sub, kRW, 0, ErrorCode::kCapabilityNotOwned},
+      {"inactive", every, 0, kInactive, 1, ok_sub, kRW, 0, ErrorCode::kCapabilityRevoked},
+      {"wrong kind", every, 0, kOtherKind, 1, ok_sub, kRW, 0, ErrorCode::kInvalidArgument},
+      {"no share right", shares, 0, kNoShare, 1, ok_sub, kRW, 0,
+       ErrorCode::kCapabilityRightsViolation},
+      {"no grant right", grants, 0, kNoGrant, 1, ok_sub, kRW, 0,
+       ErrorCode::kCapabilityRightsViolation},
+      {"sub-range outside", memory, 0, kAll, 1, {kMiB - kPage, 2 * kPage}, kRW, 0,
+       ErrorCode::kOutOfRange},
+      {"sub-range empty", memory, 0, kAll, 1, {0, 0}, kRW, 0, ErrorCode::kOutOfRange},
+      {"sub-range base unaligned", memory, 0, kAll, 1, {16, kPage}, kRW, 0,
+       ErrorCode::kInvalidArgument},
+      {"sub-range size unaligned", memory, 0, kAll, 1, {0, kPage + 16}, kRW, 0,
+       ErrorCode::kInvalidArgument},
+      {"perms empty", memory, 0, kAll, 1, ok_sub, Perms::kNone, 0,
+       ErrorCode::kCapabilityRightsViolation},
+      {"perms exceed", memory, 0, kAll, 1, ok_sub, Perms::kRWX, 0,
+       ErrorCode::kCapabilityRightsViolation},
+      {"rights exceed", every, 0, kNarrow, 1, ok_sub, kRW, kAllRights,
+       ErrorCode::kCapabilityRightsViolation},
+      {"destination sealed", every, 0, kAll, 3, ok_sub, kRW, 0, ErrorCode::kDomainSealed},
+      {"sealed source to a non-child", every, 4, kSealedOwner, 1, ok_sub, kRW, 0,
+       ErrorCode::kDomainSealed},
+      {"destination unregistered", every, 0, kAll, 42, ok_sub, kRW, 0, ErrorCode::kNotFound},
+      // Two failing rules: the first check in the order wins.
+      {"not owner + inactive", every, 1, kInactive, 2, ok_sub, kRW, 0,
+       ErrorCode::kCapabilityNotOwned},
+      {"inactive + wrong kind", every, 0, kOtherKindInactive, 1, ok_sub, kRW, 0,
+       ErrorCode::kCapabilityRevoked},
+      {"inactive + destination sealed", every, 0, kInactive, 3, ok_sub, kRW, 0,
+       ErrorCode::kCapabilityRevoked},
+      {"wrong kind + no share right", shares, 0, kOtherKindNoShare, 1, ok_sub, kRW, 0,
+       ErrorCode::kInvalidArgument},
+      {"wrong kind + perms exceed", memory, 0, kOtherKind, 1, ok_sub, Perms::kRWX, 0,
+       ErrorCode::kInvalidArgument},
+      {"no share right + sub-range outside", {kShareMemory}, 0, kNoShare, 1,
+       {kMiB, kPage}, kRW, 0, ErrorCode::kCapabilityRightsViolation},
+      {"no grant right + rights exceed", {kGrantUnit}, 0, kNoGrant, 1, ok_sub, kRW,
+       kAllRights, ErrorCode::kCapabilityRightsViolation},
+      {"sub-range outside + unaligned", memory, 0, kAll, 1, {kMiB - kPage, kPage + 16}, kRW,
+       0, ErrorCode::kOutOfRange},
+      {"unaligned + perms exceed", memory, 0, kAll, 1, {16, kPage}, Perms::kRWX, 0,
+       ErrorCode::kInvalidArgument},
+      {"perms exceed + destination sealed", memory, 0, kAll, 3, ok_sub, Perms::kRWX, 0,
+       ErrorCode::kCapabilityRightsViolation},
+      {"rights exceed + destination sealed", every, 0, kNarrow, 3, ok_sub, kRW, kAllRights,
+       ErrorCode::kCapabilityRightsViolation},
+      {"destination sealed + sealed source", every, 4, kSealedOwner, 3, ok_sub, kRW, 0,
+       ErrorCode::kDomainSealed},
+  };
+  const uint64_t caps_before = engine_.total_caps();
+  for (const Row& row : rows) {
+    for (const Entry entry : row.entries) {
+      const CapId src = SourceFor(entry, row.source);
+      const uint64_t base = (*engine_.Get(src))->range.base;
+      const AddrRange sub{base + row.sub.base, row.sub.size};
+      EXPECT_EQ(Send(entry, row.requester, src, row.dst, sub, row.perms, row.rights),
+                row.want)
+          << row.what << " via entry point " << entry;
+    }
+  }
+  EXPECT_EQ(engine_.total_caps(), caps_before) << "a rejected transfer minted a capability";
+  // An unknown source cap fails before every other rule.
+  for (const Entry entry : every) {
+    EXPECT_EQ(Send(entry, 1, 999, 3, ok_sub, Perms::kRWX, kAllRights), ErrorCode::kNotFound);
+  }
+
+  // The same requests with the defect removed succeed: each row failed on
+  // its rule, not on the fixture. The sealed owner may still delegate to the
+  // child it created.
+  for (const Entry entry : every) {
+    EXPECT_EQ(Send(entry, 0, SourceFor(entry, kAll), 1, ok_sub, kRW, 0), ErrorCode::kOk)
+        << "entry point " << entry;
+    EXPECT_EQ(Send(entry, 4, SourceFor(entry, kSealedOwner), 5,
+                   {8 * kMiB + (entry == kShareMemory ? 0 : 4 * kPage), kPage}, kRW, 0),
+              ErrorCode::kOk)
+        << "sealed owner to its child via entry point " << entry;
+  }
+}
+
 }  // namespace
 }  // namespace tyche

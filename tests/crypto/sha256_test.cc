@@ -83,6 +83,20 @@ TEST(DigestTest, HexIs64Chars) {
   EXPECT_EQ(Digest{}.ToHex(), std::string(64, '0'));
 }
 
+// The short form journal records and wire checksums carry: the first eight
+// digest bytes, little-endian. The migration handoff link is one of them, so
+// writer and splice verifier must agree on it bit for bit.
+TEST(DigestTest, Prefix64KnownAnswers) {
+  // SHA-256("abc") starts ba 78 16 bf 8f 01 cf ea.
+  EXPECT_EQ(DigestPrefix64(Sha256::Hash(std::string_view("abc"))), 0xeacf018fbf1678baULL);
+  Digest counting;
+  for (size_t i = 0; i < counting.bytes.size(); ++i) {
+    counting.bytes[i] = static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(DigestPrefix64(counting), 0x0706050403020100ULL);
+  EXPECT_EQ(DigestPrefix64(Digest{}), 0u);
+}
+
 TEST(HmacTest, Rfc4231Case2) {
   const std::string key = "Jefe";
   const std::string message = "what do ya want for nothing?";

@@ -178,6 +178,111 @@ TEST_F(AuditJournalTest, EveryRandomizedTamperIsCaught) {
   EXPECT_GE(trials, 100);
 }
 
+// The four transfer records, emitted through Dispatch(), field by field.
+// Replay reads only part of each (unit records' base/resource, for one, go
+// unread), so this is what pins the rest of the wire layout.
+TEST_F(AuditJournalTest, TransferRecordsPinEveryField) {
+  const ApiResult created = Call(0, ApiOp::kCreateDomain);
+  ASSERT_EQ(created.error, 0u);
+  const DomainId target = created.ret0;
+  const CapId handle = created.ret1;
+
+  const AddrRange shared = Scratch(kMiB, 4 * kPageSize);
+  const AddrRange granted = Scratch(2 * kMiB, 2 * kPageSize);
+  const CapId os_mem = OsMemCap(shared);
+  ASSERT_EQ(OsMemCap(granted), os_mem);
+  const CapId core1 = OsCoreCap(1);
+  const CapId core2 = OsCoreCap(2);
+  const uint8_t share_rights = CapRights::kShare | CapRights::kRevoke;
+  const uint8_t grant_rights = CapRights::kAll;
+
+  const ApiResult share_mem =
+      Call(0, ApiOp::kShareMemory, os_mem, handle, shared.base, shared.size, Perms::kRead,
+           Pack(share_rights, RevocationPolicy::kZeroMemory));
+  // The grant carves the middle of the OS's cap: one remainder each side.
+  const ApiResult grant_mem =
+      Call(0, ApiOp::kGrantMemory, os_mem, handle, granted.base, granted.size, Perms::kRW,
+           Pack(grant_rights, RevocationPolicy::kObfuscate));
+  const ApiResult share_unit =
+      Call(0, ApiOp::kShareUnit, core1, handle, Pack(share_rights, RevocationPolicy::kNone));
+  const ApiResult grant_unit = Call(0, ApiOp::kGrantUnit, core2, handle,
+                                    Pack(grant_rights, RevocationPolicy::kFlushCache));
+  for (const ApiResult& result : {share_mem, grant_mem, share_unit, grant_unit}) {
+    ASSERT_EQ(result.error, 0u);
+  }
+
+  const std::vector<JournalRecord> records = monitor_->audit().journal().Records();
+  // The one record of `event` that created `cap`, whose span is the span of
+  // the kDispatch record for `op`.
+  const auto find = [&](JournalEvent event, CapId cap, ApiOp op) -> JournalRecord {
+    const JournalRecord* found = nullptr;
+    for (const JournalRecord& record : records) {
+      if (record.event == static_cast<uint8_t>(event) && record.cap == cap) {
+        EXPECT_EQ(found, nullptr) << "two records for cap " << cap;
+        found = &record;
+      }
+    }
+    if (found == nullptr) {
+      ADD_FAILURE() << "no record for cap " << cap;
+      return JournalRecord{};
+    }
+    bool dispatched = false;
+    for (const JournalRecord& record : records) {
+      dispatched |= record.event == static_cast<uint8_t>(JournalEvent::kDispatch) &&
+                    record.span == found->span && record.op == static_cast<uint8_t>(op);
+    }
+    EXPECT_TRUE(dispatched) << "cap " << cap << " not in its dispatch span";
+    return *found;
+  };
+  struct Want {
+    JournalEvent event;
+    ApiOp op;
+    CapId cap;
+    CapId parent;
+    ResourceKind resource;
+    uint8_t perms;
+    uint8_t rights;
+    uint8_t policy;
+    uint64_t base;
+    uint64_t size;
+    uint64_t aux;
+  };
+  const Want wants[] = {
+      {JournalEvent::kShareMemory, ApiOp::kShareMemory, share_mem.ret0, os_mem,
+       ResourceKind::kMemory, Perms::kRead, share_rights, RevocationPolicy::kZeroMemory,
+       shared.base, shared.size, 0},
+      {JournalEvent::kGrantMemory, ApiOp::kGrantMemory, grant_mem.ret0, os_mem,
+       ResourceKind::kMemory, Perms::kRW, grant_rights, RevocationPolicy::kObfuscate,
+       granted.base, granted.size, /*aux = remainder count*/ 2},
+      {JournalEvent::kShareUnit, ApiOp::kShareUnit, share_unit.ret0, core1,
+       ResourceKind::kCpuCore, 0, share_rights, RevocationPolicy::kNone, /*base = unit*/ 1,
+       0, 0},
+      {JournalEvent::kGrantUnit, ApiOp::kGrantUnit, grant_unit.ret0, core2,
+       ResourceKind::kCpuCore, 0, grant_rights, RevocationPolicy::kFlushCache, 2, 0, 0},
+  };
+  std::vector<uint64_t> spans;
+  for (const Want& want : wants) {
+    SCOPED_TRACE(static_cast<int>(want.event));
+    const JournalRecord record = find(want.event, want.cap, want.op);
+    spans.push_back(record.span);
+    EXPECT_EQ(record.op, kJournalNoOp);
+    EXPECT_EQ(record.domain, os_domain_);
+    EXPECT_EQ(record.dst, target);
+    EXPECT_EQ(record.resource, static_cast<uint8_t>(want.resource));
+    EXPECT_EQ(record.perms, want.perms);
+    EXPECT_EQ(record.rights, want.rights);
+    EXPECT_EQ(record.policy, want.policy);
+    EXPECT_EQ(record.cap, want.cap);
+    EXPECT_EQ(record.parent, want.parent);
+    EXPECT_EQ(record.base, want.base);
+    EXPECT_EQ(record.size, want.size);
+    EXPECT_EQ(record.result, 0u);
+    EXPECT_EQ(record.aux, want.aux);
+  }
+  std::sort(spans.begin(), spans.end());
+  EXPECT_EQ(std::unique(spans.begin(), spans.end()), spans.end()) << "spans shared";
+}
+
 TEST_F(AuditJournalTest, DisabledJournalStillDispatches) {
   monitor_->audit().set_enabled(false);
   const size_t before = monitor_->audit().journal().size();

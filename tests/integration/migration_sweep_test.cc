@@ -529,6 +529,48 @@ TEST(MigrationSweep, DestinationWithoutResourcesRollsBack) {
   EXPECT_EQ(EngineDigest(dest->engine()), pre_dest);
 }
 
+// A domain whose capabilities were granted memory, core, memory: the
+// destination journals the adoption grants in the order it minted them, so
+// its journal replays to the same ids and the two histories still splice.
+TEST(MigrationSweep, InterleavedGrantsJournalInMintOrder) {
+  auto world = MakeWorld(IsaArch::kX86_64);
+  ASSERT_NE(world, nullptr);
+  Monitor* source = world->source.get();
+  const auto created = source->CreateDomain(0, "mixed");
+  ASSERT_TRUE(created.ok());
+  const AddrRange first{source->monitor_range().end() + 2 * kMiB, kPageSize};
+  const AddrRange second{source->monitor_range().end() + 3 * kMiB, kPageSize};
+  const auto grant_memory = [&](AddrRange range) {
+    const auto cap = FindMemoryCap(*source, world->source_os, range);
+    return cap.ok() && source
+                           ->GrantMemory(0, *cap, created->handle, range, Perms(Perms::kRWX),
+                                         CapRights(CapRights::kAll), RevocationPolicy(0))
+                           .ok();
+  };
+  ASSERT_TRUE(grant_memory(first));
+  const auto core_cap = FindUnitCap(*source, world->source_os, ResourceKind::kCpuCore, 2);
+  ASSERT_TRUE(core_cap.ok());
+  ASSERT_TRUE(source
+                  ->GrantUnit(0, *core_cap, created->handle, CapRights(CapRights::kAll),
+                              RevocationPolicy(0))
+                  .ok());
+  ASSERT_TRUE(grant_memory(second));
+  ASSERT_TRUE(source->SetEntryPoint(0, created->handle, first.base).ok());
+  ASSERT_TRUE(source->Seal(0, created->handle).ok());
+
+  LossyChannel channel;
+  const auto report = MigrateDomain(source, world->dest.get(), created->domain, &channel,
+                                    source->public_key());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::vector<uint8_t> dest_journal = world->dest->ExportJournal();
+  const Status replayed =
+      RemoteVerifier::VerifyJournal(dest_journal, world->dest->public_key(), nullptr);
+  EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+  const Status splice = VerifyJournalSplice(source->ExportJournal(), dest_journal,
+                                            source->public_key(), world->dest->public_key());
+  EXPECT_TRUE(splice.ok()) << splice.ToString();
+}
+
 // Satellite regression: snapshots and concurrent dispatch exclude each
 // other SYMMETRICALLY — whichever starts first wins, in both orders.
 TEST(MigrationSweep, SnapshotConcurrencyExclusionBothOrders) {

@@ -97,6 +97,26 @@ TEST_F(DispatchTest, AttestOutBufferMustBeCallerWritable) {
   EXPECT_EQ(small.error, static_cast<uint64_t>(ErrorCode::kResourceExhausted));
 }
 
+// The whole-machine view an attestation report is built from is engine
+// work: the profiler must charge it to kEngine, not leave the report's
+// dominant cost in kOther (where a window records no engine phase at all).
+TEST_F(DispatchTest, AttestationChargesTheEngineView) {
+  const ApiResult created = Call(0, ApiOp::kCreateDomain);
+  ASSERT_EQ(created.error, 0u);
+  const AddrRange window = Scratch(kMiB, 4 * kPageSize);
+  ASSERT_EQ(Call(0, ApiOp::kShareMemory, OsMemCap(window), created.ret1, window.base,
+                 window.size, Perms::kRW, Pack(CapRights::kAll, 0))
+                .error,
+            0u);
+  monitor_->profiler().set_enabled(true);
+  const uint64_t out_buffer = Scratch(8 * kMiB, 0).base;
+  for (uint64_t nonce = 1; nonce <= 4; ++nonce) {
+    ASSERT_EQ(Call(0, ApiOp::kAttestDomain, created.ret1, nonce, out_buffer, 4096).error, 0u);
+  }
+  const auto op = static_cast<uint16_t>(ApiOp::kAttestDomain);
+  EXPECT_EQ(monitor_->profiler().PhaseSnapshot(op, DispatchPhase::kEngine).count, 4u);
+}
+
 TEST_F(DispatchTest, BogusOpsRejected) {
   EXPECT_EQ(Call(0, static_cast<ApiOp>(250)).error,
             static_cast<uint64_t>(ErrorCode::kInvalidArgument));
