@@ -2,7 +2,7 @@
 
 #include "src/monitor/attestation.h"
 
-#include "src/monitor/audit.h"
+#include "src/monitor/recovery.h"
 
 namespace tyche {
 
@@ -268,23 +268,21 @@ Status RemoteVerifier::VerifyDomain(const DomainAttestation& report,
 
 Status RemoteVerifier::VerifyJournal(std::span<const uint8_t> journal_bytes,
                                      const SchnorrPublicKey& monitor_key,
-                                     const std::string* expected_graph_json) {
+                                     const std::string* expected_graph_json,
+                                     std::span<const uint8_t> snapshot) {
   TYCHE_ASSIGN_OR_RETURN(const ParsedJournal parsed, Journal::Deserialize(journal_bytes));
-  TYCHE_RETURN_IF_ERROR(
-      Journal::VerifyChain(parsed.records, parsed.checkpoints, monitor_key));
-  if (!parsed.records.empty() && parsed.records.front().seq != 0) {
-    // A compacted journal starts mid-history: the chain above is anchored to
-    // a signed checkpoint, but a genesis replay is impossible without the
-    // anchoring snapshot (VerifyJournalWithSnapshot in recovery.h).
-    if (expected_graph_json != nullptr) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "journal: truncated journal needs its snapshot to replay "
-                   "(use --snapshot)");
-    }
+  TYCHE_ASSIGN_OR_RETURN(const VerifiedHistory history,
+                         ReplayVerifiedJournal(parsed, monitor_key, snapshot,
+                                               /*crashed_tail=*/false));
+  if (expected_graph_json == nullptr) {
     return OkStatus();
   }
-  TYCHE_ASSIGN_OR_RETURN(const JournalReplay replay, ReplayJournal(parsed.records));
-  if (expected_graph_json != nullptr && replay.graph_json != *expected_graph_json) {
+  if (!history.replayed) {
+    return Error(ErrorCode::kFailedPrecondition,
+                 "journal: truncated journal needs its snapshot to replay "
+                 "(use --snapshot)");
+  }
+  if (history.replay.graph_json != *expected_graph_json) {
     return Error(ErrorCode::kJournalReplayDivergence,
                  "journal: replayed capability graph does not match the snapshot");
   }

@@ -13,6 +13,7 @@
 #define SRC_MONITOR_ATTESTATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,15 +100,21 @@ class RemoteVerifier {
   Status VerifyDomain(const DomainAttestation& report, const SchnorrPublicKey& monitor_key,
                       uint64_t expected_nonce, const Digest* expected_measurement) const;
 
-  // History: verifies a serialized audit journal end-to-end -- wire format,
-  // hash chain, checkpoint signatures under the (verified) monitor key --
-  // then replays it through a shadow capability engine. When
-  // `expected_graph_json` is non-null, the replayed graph (including
-  // refcounts) must match that graph_export snapshot byte-for-byte. Detects
-  // any single-record tamper, drop, reorder, or tail truncation.
+  // History: verifies a serialized audit journal end-to-end through the one
+  // journal verifier (ReplayVerifiedJournal, recovery.h) -- wire format,
+  // hash chain, checkpoint signatures under the (verified) monitor key, a
+  // covered tail -- then replays it through a shadow capability engine,
+  // from genesis or, when `snapshot` is non-empty, from the signed
+  // checkpoint that binds that snapshot. When `expected_graph_json` is
+  // non-null, the replayed graph (including refcounts) must match that
+  // graph_export snapshot byte-for-byte. Detects any single-record tamper,
+  // drop, reorder, or tail truncation. A compacted journal without its
+  // snapshot is chain-checked only, and refused (kFailedPrecondition) when
+  // a graph is expected.
   static Status VerifyJournal(std::span<const uint8_t> journal_bytes,
                               const SchnorrPublicKey& monitor_key,
-                              const std::string* expected_graph_json);
+                              const std::string* expected_graph_json,
+                              std::span<const uint8_t> snapshot = {});
 
   // Controlled-sharing policy checks over a verified report (§3.4: e.g.
   // "exclusive access to a resource (reference count of 1) coupled with an

@@ -291,14 +291,14 @@ std::vector<uint8_t> AuditJournal::Export() {
 
 Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
                                         std::span<const JournalRecord> records,
-                                        const ReplayOptions& options) {
+                                        bool crashed_tail) {
   JournalReplay replay;
   // Cascade/restore records are cross-checked against the outcome of the
   // enclosing revoke: drops and reorders the hash chain would also catch
   // become *semantic* divergences here.
   std::deque<CapId> expected_cascades;
   CapId expected_restore = kInvalidCap;
-  bool at_leading_edge = options.skip_leading_orphans;
+  bool at_leading_edge = !records.empty() && records.front().seq > 0;
 
   auto diverged = [](uint64_t seq, const std::string& what) {
     return Error(ErrorCode::kJournalReplayDivergence,
@@ -446,17 +446,12 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
     }
     ++replay.applied;
   }
-  if (!expected_cascades.empty() && !options.tolerate_truncated_tail) {
+  if (!expected_cascades.empty() && !crashed_tail) {
     return Error(ErrorCode::kJournalReplayDivergence,
                  "journal replay: trailing cascade records missing");
   }
   replay.graph_json = ExportCapabilityGraphJson(*shadow);
   return replay;
-}
-
-Result<JournalReplay> ReplayJournal(const std::vector<JournalRecord>& records) {
-  CapabilityEngine shadow;
-  return ReplayJournalInto(&shadow, records);
 }
 
 }  // namespace tyche

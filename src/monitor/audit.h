@@ -105,32 +105,21 @@ struct JournalReplay {
   std::string graph_json;  // full-lineage export of the shadow engine
 };
 
-// Tolerances a recovery replay needs that a full-history audit must NOT
-// grant. Both default off: the strict verifier path stays strict.
-struct ReplayOptions {
-  // A journal cut at an arbitrary record boundary can end mid-span, with a
-  // revoke's trailing cascade records missing. The engine mutation itself
-  // was journaled AFTER it completed, so the state is already consistent —
-  // tolerate the missing confirmations instead of failing.
-  bool tolerate_truncated_tail = false;
-  // A suffix that starts mid-span can OPEN with cascade/restore records
-  // whose enclosing revoke landed before the snapshot point; the snapshot
-  // already contains their effects. Skip them until the first real record.
-  bool skip_leading_orphans = false;
-};
-
 // Replays journaled engine mutations into `shadow` (which carries the state
 // the records build on — fresh for a full-history replay, snapshot-restored
 // for a suffix replay), asserting every journaled capability id (shares,
 // grants, cascades, restores, remainder counts) matches what the engine
 // produced. Fails with kJournalReplayDivergence and the diverging sequence
-// number on any mismatch.
+// number on any mismatch. A suffix that starts past genesis (seq > 0) may
+// OPEN with cascade/restore confirmations of a revoke the snapshot already
+// contains; they are skipped. `crashed_tail` tolerates a journal cut
+// mid-span by a crash: a revoke's trailing cascade records may be missing
+// (the mutation was journaled after it completed, so the state is already
+// consistent). Callers verify the chain first (ReplayVerifiedJournal in
+// recovery.h does both).
 Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
                                         std::span<const JournalRecord> records,
-                                        const ReplayOptions& options = {});
-
-// Strict full-history replay through a fresh shadow engine.
-Result<JournalReplay> ReplayJournal(const std::vector<JournalRecord>& records);
+                                        bool crashed_tail = false);
 
 // The measurement a kSealDomain record carries (packed across its
 // cap/parent/base/size fields). Recovery uses it to rebuild attested

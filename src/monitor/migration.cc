@@ -11,6 +11,7 @@
 
 #include "src/hw/cost_model.h"
 #include "src/monitor/audit.h"
+#include "src/monitor/recovery.h"
 #include "src/support/backoff.h"
 #include "src/support/faults.h"
 #include "src/support/log.h"
@@ -171,7 +172,7 @@ class MigrationInternal {
                                             const SchnorrPublicKey& source_key);
   static Result<PayloadImage> ParseStateImage(std::span<const uint8_t> bytes);
   static Status CrossCheckAgainstJournal(const PayloadImage& image,
-                                         const ParsedJournal& journal);
+                                         const VerifiedHistory& history);
   static void RollbackDest(Monitor* dest, const StagedAdoption& staged,
                            const EngineImage& pre_engine, DomainId pre_next_domain,
                            uint16_t pre_next_asid);
@@ -448,20 +449,18 @@ Result<PayloadImage> MigrationInternal::ParseStateImage(std::span<const uint8_t>
 }
 
 Status MigrationInternal::CrossCheckAgainstJournal(const PayloadImage& image,
-                                                   const ParsedJournal& journal) {
-  // Only a full-history journal can be shadow-replayed without a snapshot; a
-  // source that compacted its journal still ships a chain-verified,
-  // signature-bound provenance, just without this extra replay check.
-  if (journal.records.empty() || journal.records.front().seq != 0) {
+                                                   const VerifiedHistory& history) {
+  // Only a full-history journal was shadow-replayed (the payload carries no
+  // snapshot); a source that compacted its journal still ships a
+  // chain-verified, signature-bound provenance, just without this check.
+  if (!history.replayed || history.suffix.empty()) {
     return OkStatus();
   }
-  CapabilityEngine shadow;
-  TYCHE_RETURN_IF_ERROR(ReplayJournalInto(&shadow, journal.records).status());
 
   // The journaled attested identity must be the one the payload claims.
   Digest sealed_measurement;
   bool sealed_seen = false;
-  for (const JournalRecord& record : journal.records) {
+  for (const JournalRecord& record : history.suffix) {
     if (record.event == static_cast<uint8_t>(JournalEvent::kSealDomain) &&
         record.domain == image.source_domain) {
       sealed_measurement = PackedSealDigest(record);
@@ -483,7 +482,7 @@ Status MigrationInternal::CrossCheckAgainstJournal(const PayloadImage& image,
     expect.insert(key(cap.kind, cap.range, cap.unit, cap.perms.mask));
   }
   std::multiset<std::tuple<uint8_t, uint64_t, uint64_t, uint64_t, uint8_t>> replayed;
-  for (const Capability* cap : shadow.DomainCaps(image.source_domain)) {
+  for (const Capability* cap : history.engine.DomainCaps(image.source_domain)) {
     replayed.insert(key(cap->kind, cap->range, cap->unit, cap->perms.mask));
   }
   if (expect != replayed) {
@@ -516,18 +515,20 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
                  "migration payload not signed by the source monitor");
   }
 
-  // The provenance journal: chain-verified under the source's measured key,
-  // strict covered-tail rule (the source checkpointed before export).
-  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal journal, Journal::Deserialize(journal_bytes));
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(journal.records, journal.checkpoints,
-                                             source_key, /*require_covered_tail=*/true));
-
   TYCHE_ASSIGN_OR_RETURN(const PayloadImage image, ParseStateImage(state_bytes));
   if (image.source_domain != source_domain) {
     return Error(ErrorCode::kSignatureInvalid,
                  "migration payload: state and signature disagree on the domain");
   }
-  TYCHE_RETURN_IF_ERROR(CrossCheckAgainstJournal(image, journal));
+
+  // The provenance journal: verified under the source's measured key with
+  // the strict covered-tail rule (the source checkpointed before export) and
+  // replayed from genesis.
+  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal journal, Journal::Deserialize(journal_bytes));
+  TYCHE_ASSIGN_OR_RETURN(const VerifiedHistory history,
+                         ReplayVerifiedJournal(journal, source_key, {},
+                                               /*crashed_tail=*/false));
+  TYCHE_RETURN_IF_ERROR(CrossCheckAgainstJournal(image, history));
 
   // Stage the adoption on a COPY of the destination engine. The record
   // family for these mutations is journaled at commit; the ids it will carry

@@ -1,7 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Recovery subsystem: snapshot encode/decode, Monitor::Recover /
-// Monitor::ResyncAll / Monitor::CaptureSnapshot, and the offline
-// snapshot-anchored verifier. Kept out of monitor.cc so the crash path and
+// Monitor::ResyncAll / Monitor::CaptureSnapshot, and the one journal
+// verifier (ReplayVerifiedJournal). Kept out of monitor.cc so the crash path and
 // the hot path do not share a translation unit.
 
 #include "src/monitor/recovery.h"
@@ -23,21 +23,6 @@ namespace {
 constexpr uint32_t kSectionEngine = 1;   // EngineImage: lineage tree + domains
 constexpr uint32_t kSectionMonitor = 2;  // TrustDomain table + id allocators
 constexpr uint32_t kSectionMeta = 3;     // metadata pool geometry
-
-// Everything a snapshot carries. The rolling measurement contexts of
-// unsealed domains are deliberately absent: they are NOT durable (a sealed
-// domain's final measurement rides in its seal record instead).
-struct MonitorImage {
-  EngineImage engine;
-  std::vector<TrustDomain> domains;
-  DomainId next_domain = 0;
-  uint16_t next_asid = 1;
-  uint64_t seal_nonce = 1;
-  AddrRange monitor_range;
-  Digest firmware_measurement;
-  Digest monitor_measurement;
-  AddrRange metadata_pool;
-};
 
 std::vector<uint8_t> EncodeEngine(const EngineImage& image) {
   SectionWriter out;
@@ -344,39 +329,21 @@ Status Monitor::ResyncAll() {
 
 Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
                         const ParsedJournal& journal) {
-  // 1. The journal must verify: anchored chain, every checkpoint signature.
-  //    Tail coverage is relaxed — a crashed monitor cannot sign its death.
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(journal.records, journal.checkpoints, key_.pub,
-                                             /*require_covered_tail=*/false));
-
-  // 2. Stage everything before touching live state: a malformed snapshot or
-  //    a diverging replay must leave this monitor unchanged.
-  CapabilityEngine staged_engine;
-  std::map<DomainId, TrustDomain> staged_domains;
-  DomainId staged_next_domain = 0;
-  uint16_t staged_next_asid = 1;
-  uint64_t staged_seal_nonce = 1;
-  size_t suffix_begin = 0;
-  const uint64_t base = journal.records.empty() ? 0 : journal.records.front().seq;
+  // 1. Verify and replay into a staged engine before touching live state: a
+  //    malformed snapshot or a diverging replay must leave this monitor
+  //    unchanged. kOpAbort spans need no special handling: their
+  //    compensating mutations are ordinary records, so rolled-back
+  //    transactions from the fault framework land rolled-back here too.
+  TYCHE_ASSIGN_OR_RETURN(VerifiedHistory history,
+                         ReplayVerifiedJournal(journal, key_.pub, snapshot_bytes,
+                                               /*crashed_tail=*/true));
+  if (!history.replayed) {
+    return Error(ErrorCode::kFailedPrecondition,
+                 "recovery: a truncated journal requires its anchoring snapshot");
+  }
   const bool have_snapshot = !snapshot_bytes.empty();
-
+  MonitorImage& image = history.image;
   if (have_snapshot) {
-    // The snapshot is trusted only through its checkpoint binding: its
-    // digest must appear in a checkpoint whose signature VerifyChain
-    // already validated. The newest binding wins (shortest replay).
-    const Digest digest = SnapshotDigest(snapshot_bytes);
-    const JournalCheckpoint* bound = nullptr;
-    for (const JournalCheckpoint& checkpoint : journal.checkpoints) {
-      if (checkpoint.snapshot == digest) {
-        bound = &checkpoint;
-      }
-    }
-    if (bound == nullptr) {
-      return Error(ErrorCode::kJournalSignatureInvalid,
-                   "recovery: snapshot is not bound to any signed checkpoint");
-    }
-    MonitorImage image;
-    TYCHE_RETURN_IF_ERROR(DecodeMonitorImage(snapshot_bytes, &image));
     if (image.monitor_measurement != monitor_measurement_ ||
         image.firmware_measurement != firmware_measurement_) {
       return Error(ErrorCode::kAttestationMismatch,
@@ -389,39 +356,17 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
       return Error(ErrorCode::kAttestationMismatch,
                    "recovery: monitor reservation geometry changed");
     }
-    TYCHE_RETURN_IF_ERROR(staged_engine.Restore(image.engine));
-    for (TrustDomain& domain : image.domains) {
-      const DomainId id = domain.id;
-      staged_domains[id] = std::move(domain);
-    }
-    staged_next_domain = image.next_domain;
-    staged_next_asid = image.next_asid;
-    staged_seal_nonce = image.seal_nonce;
-    const uint64_t suffix_start_seq = bound->seq + 1;
-    if (suffix_start_seq < base) {
-      return Error(ErrorCode::kJournalChainBroken,
-                   "recovery: journal does not reach back to the snapshot checkpoint");
-    }
-    suffix_begin = std::min(static_cast<size_t>(suffix_start_seq - base),
-                            journal.records.size());
-  } else if (base != 0) {
-    return Error(ErrorCode::kFailedPrecondition,
-                 "recovery: a truncated journal requires its anchoring snapshot");
   }
+  std::map<DomainId, TrustDomain> staged_domains;
+  for (TrustDomain& domain : image.domains) {
+    const DomainId id = domain.id;
+    staged_domains[id] = std::move(domain);
+  }
+  DomainId staged_next_domain = image.next_domain;
+  uint16_t staged_next_asid = image.next_asid;
+  const std::span<const JournalRecord> suffix = history.suffix;
 
-  const std::span<const JournalRecord> suffix =
-      std::span<const JournalRecord>(journal.records).subspan(suffix_begin);
-
-  // 3. Replay the suffix on top of the snapshot image through the shadow
-  //    replay machinery. kOpAbort spans need no special handling: their
-  //    compensating mutations are ordinary records, so rolled-back
-  //    transactions from the fault framework land rolled-back here too.
-  ReplayOptions options;
-  options.tolerate_truncated_tail = true;  // the crash can cut a span in half
-  options.skip_leading_orphans = have_snapshot;
-  TYCHE_RETURN_IF_ERROR(ReplayJournalInto(&staged_engine, suffix, options).status());
-
-  // 4. Domain lifecycle + attested identity from the same suffix. Asids are
+  // 2. Domain lifecycle + attested identity from the same suffix. Asids are
   //    reassigned in record order, matching the original creation order.
   for (const JournalRecord& record : suffix) {
     switch (static_cast<JournalEvent>(record.event)) {
@@ -472,16 +417,16 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
                  "recovery: history contains no live initial domain");
   }
 
-  // 5. Commit the bookkeeping. From here on a failure (e.g. an injected
+  // 3. Commit the bookkeeping. From here on a failure (e.g. an injected
   //    re-sync fault) leaves hardware incomplete but the committed state is
   //    re-derivable: Recover() simply runs again.
-  engine_ = std::move(staged_engine);
+  engine_ = std::move(history.engine);
   domains_ = std::move(staged_domains);
   next_domain_ = staged_next_domain;
   next_asid_ = staged_next_asid;
   // Nonce-reuse guard: seal_nonce_ grew by at most one per journaled record
   // between the snapshot and the crash; skip past that bound.
-  seal_nonce_ = staged_seal_nonce + suffix.size() + 1;
+  seal_nonce_ = image.seal_nonce + suffix.size() + 1;
 
   // Span ids restart above everything in the recovered history so the span
   // tree never merges pre- and post-crash work.
@@ -491,11 +436,11 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   }
   next_span_.store(max_span + 1, std::memory_order_relaxed);
 
-  // 6. Resume the chain: new records extend the recovered history instead
+  // 4. Resume the chain: new records extend the recovered history instead
   //    of restarting from genesis.
   audit_.journal().Restore(journal.records, journal.checkpoints);
 
-  // 7. Hardware: full re-sync of both backend families.
+  // 5. Hardware: full re-sync of both backend families.
   TYCHE_RETURN_IF_ERROR(ResyncAll());
 
   // A crash mid-migration is an implicit rollback: the source journal only
@@ -503,7 +448,7 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   // monitor must not keep any domain frozen.
   frozen_.clear();
 
-  // 8. Telemetry reset-and-mark: only the recovery counter crosses the
+  // 6. Telemetry reset-and-mark: only the recovery counter crosses the
   //    epoch, so post-recovery dumps never mix pre-crash samples. The
   //    recovered-seq flight record is captured BEFORE the reset so its
   //    metrics delta shows the pre-crash epoch draining to zero.
@@ -528,51 +473,47 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   return OkStatus();
 }
 
-Status VerifyJournalWithSnapshot(std::span<const uint8_t> journal_bytes,
-                                 std::span<const uint8_t> snapshot_bytes,
-                                 const SchnorrPublicKey& key,
-                                 const std::string& expected_graph_json) {
-  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal parsed, Journal::Deserialize(journal_bytes));
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(parsed.records, parsed.checkpoints, key));
-
-  const Digest digest = SnapshotDigest(snapshot_bytes);
-  const JournalCheckpoint* bound = nullptr;
-  for (const JournalCheckpoint& checkpoint : parsed.checkpoints) {
-    if (checkpoint.snapshot == digest) {
-      bound = &checkpoint;
+Result<VerifiedHistory> ReplayVerifiedJournal(const ParsedJournal& journal,
+                                              const SchnorrPublicKey& key,
+                                              std::span<const uint8_t> snapshot,
+                                              bool crashed_tail) {
+  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(journal.records, journal.checkpoints, key,
+                                             /*require_covered_tail=*/!crashed_tail));
+  VerifiedHistory history;
+  const uint64_t base = journal.records.empty() ? 0 : journal.records.front().seq;
+  size_t suffix_begin = 0;
+  if (!snapshot.empty()) {
+    // The snapshot is trusted only through its checkpoint binding: its
+    // digest must appear in a checkpoint whose signature VerifyChain
+    // already validated. The newest binding wins (shortest replay).
+    const Digest digest = SnapshotDigest(snapshot);
+    const JournalCheckpoint* bound = nullptr;
+    for (const JournalCheckpoint& checkpoint : journal.checkpoints) {
+      if (checkpoint.snapshot == digest) {
+        bound = &checkpoint;
+      }
     }
+    if (bound == nullptr) {
+      return Error(ErrorCode::kJournalSignatureInvalid,
+                   "snapshot digest is not bound to any signed checkpoint");
+    }
+    TYCHE_RETURN_IF_ERROR(DecodeMonitorImage(snapshot, &history.image));
+    TYCHE_RETURN_IF_ERROR(history.engine.Restore(history.image.engine));
+    const uint64_t suffix_start_seq = bound->seq + 1;
+    if (suffix_start_seq < base) {
+      return Error(ErrorCode::kJournalChainBroken,
+                   "journal does not reach back to the snapshot checkpoint");
+    }
+    suffix_begin = std::min(static_cast<size_t>(suffix_start_seq - base),
+                            journal.records.size());
+  } else if (base != 0) {
+    return history;  // compacted: nothing to replay onto without the snapshot
   }
-  if (bound == nullptr) {
-    return Error(ErrorCode::kJournalSignatureInvalid,
-                 "snapshot digest is not bound to any signed checkpoint");
-  }
-
-  MonitorImage image;
-  TYCHE_RETURN_IF_ERROR(DecodeMonitorImage(snapshot_bytes, &image));
-  CapabilityEngine shadow;
-  TYCHE_RETURN_IF_ERROR(shadow.Restore(image.engine));
-
-  const uint64_t parsed_base = parsed.records.empty() ? 0 : parsed.records.front().seq;
-  const uint64_t suffix_start_seq = bound->seq + 1;
-  if (suffix_start_seq < parsed_base) {
-    return Error(ErrorCode::kJournalChainBroken,
-                 "journal does not reach back to the snapshot checkpoint");
-  }
-  const size_t suffix_begin =
-      std::min(static_cast<size_t>(suffix_start_seq - parsed_base), parsed.records.size());
-
-  ReplayOptions options;
-  options.skip_leading_orphans = true;  // checkpoints can land mid-span
-  TYCHE_ASSIGN_OR_RETURN(
-      const JournalReplay replay,
-      ReplayJournalInto(&shadow,
-                        std::span<const JournalRecord>(parsed.records).subspan(suffix_begin),
-                        options));
-  if (!expected_graph_json.empty() && replay.graph_json != expected_graph_json) {
-    return Error(ErrorCode::kJournalReplayDivergence,
-                 "suffix replay over the snapshot diverges from the attested graph");
-  }
-  return OkStatus();
+  history.suffix = std::span<const JournalRecord>(journal.records).subspan(suffix_begin);
+  TYCHE_ASSIGN_OR_RETURN(history.replay,
+                         ReplayJournalInto(&history.engine, history.suffix, crashed_tail));
+  history.replayed = true;
+  return history;
 }
 
 Result<BootOutcome> MeasuredRecovery(Machine* machine, const BootParams& params,

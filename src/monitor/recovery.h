@@ -26,7 +26,6 @@
 #define SRC_MONITOR_RECOVERY_H_
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/monitor/boot.h"
@@ -66,18 +65,51 @@ class SnapshotStore {
 // crash sweep's equivalence oracle.
 Digest EngineDigest(const CapabilityEngine& engine);
 
-// Offline snapshot-anchored verification (tools/journal_verify --snapshot):
-// parses and self-checks the snapshot, requires its digest to be bound into
-// a signed checkpoint, verifies the (possibly truncated) chain, replays the
-// suffix on top of the snapshot's engine image, and — when non-empty —
-// compares the resulting graph against `expected_graph_json`. Error codes
-// distinguish chain breaks (kJournalChainBroken), bad signatures
-// (kJournalSignatureInvalid), and replay divergence
-// (kJournalReplayDivergence).
-Status VerifyJournalWithSnapshot(std::span<const uint8_t> journal_bytes,
-                                 std::span<const uint8_t> snapshot_bytes,
-                                 const SchnorrPublicKey& key,
-                                 const std::string& expected_graph_json);
+// Everything a snapshot carries. The rolling measurement contexts of
+// unsealed domains are deliberately absent: they are NOT durable (a sealed
+// domain's final measurement rides in its seal record instead).
+struct MonitorImage {
+  EngineImage engine;
+  std::vector<TrustDomain> domains;
+  DomainId next_domain = 0;
+  uint16_t next_asid = 1;
+  uint64_t seal_nonce = 1;
+  AddrRange monitor_range;
+  Digest firmware_measurement;
+  Digest monitor_measurement;
+  AddrRange metadata_pool;
+};
+
+// A journal ReplayVerifiedJournal accepted, and what its replay rebuilt.
+struct VerifiedHistory {
+  // False only for a compacted journal verified without its snapshot: the
+  // chain and signatures hold, but there is nothing to replay onto.
+  bool replayed = false;
+  CapabilityEngine engine;  // the anchor's engine with the suffix replayed
+  MonitorImage image;       // the decoded snapshot (defaults at genesis)
+  std::span<const JournalRecord> suffix;  // the records replayed
+  JournalReplay replay;     // replay counts and the resulting graph JSON
+};
+
+// The one journal verifier. Offline verification (RemoteVerifier::
+// VerifyJournal), crash recovery (Monitor::Recover), migration provenance
+// and the journal splice all decide "this journal is sound" here, in order:
+//   1. Journal::VerifyChain: anchored hash chain, every checkpoint
+//      signature, and a tail covered by a signed checkpoint unless
+//      `crashed_tail` (a crashed monitor cannot sign its own death);
+//   2. the anchor: genesis when `snapshot` is empty, else the newest signed
+//      checkpoint binding the snapshot's digest (kJournalSignatureInvalid
+//      if none does), whose decoded MonitorImage is restored into a fresh
+//      engine;
+//   3. the suffix after the anchor (kJournalChainBroken if the journal does
+//      not reach back to it);
+//   4. ReplayJournalInto over the suffix (kJournalReplayDivergence).
+// A compacted journal without its snapshot stops after step 1 with
+// `replayed == false`. The returned suffix points into `journal`.
+Result<VerifiedHistory> ReplayVerifiedJournal(const ParsedJournal& journal,
+                                              const SchnorrPublicKey& key,
+                                              std::span<const uint8_t> snapshot,
+                                              bool crashed_tail);
 
 // Crash-recovery boot: measured-boot steps 1–4 (measure firmware + monitor,
 // derive the measurement-bound attestation key) followed by

@@ -2,8 +2,7 @@
 
 #include "src/tyche/verifier.h"
 
-#include "src/monitor/audit.h"
-#include "src/support/journal.h"
+#include "src/monitor/recovery.h"
 
 namespace tyche {
 
@@ -228,11 +227,11 @@ Status VerifyJournalSplice(std::span<const uint8_t> source_journal,
                            const SchnorrPublicKey& source_key,
                            const SchnorrPublicKey& dest_key) {
   TYCHE_ASSIGN_OR_RETURN(const ParsedJournal source, Journal::Deserialize(source_journal));
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(source.records, source.checkpoints, source_key,
-                                             /*require_covered_tail=*/true));
+  TYCHE_RETURN_IF_ERROR(
+      ReplayVerifiedJournal(source, source_key, {}, /*crashed_tail=*/false).status());
   TYCHE_ASSIGN_OR_RETURN(const ParsedJournal dest, Journal::Deserialize(dest_journal));
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(dest.records, dest.checkpoints, dest_key,
-                                             /*require_covered_tail=*/true));
+  TYCHE_RETURN_IF_ERROR(
+      ReplayVerifiedJournal(dest, dest_key, {}, /*crashed_tail=*/false).status());
 
   std::vector<const JournalRecord*> outs;
   for (const JournalRecord& record : source.records) {

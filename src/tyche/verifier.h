@@ -132,6 +132,16 @@ struct BatchReportOutcome {
 std::vector<BatchReportOutcome> VerifySerializedReportBatch(
     std::span<const BatchReportInput> inputs, const SchnorrPublicKey& monitor_key);
 
+// Offline custody check of a live migration: the source and destination
+// journals splice into one verifiable history. Each side is deserialized
+// once and verified and replayed from genesis by the one journal verifier
+// (ReplayVerifiedJournal, src/monitor/recovery.h) under its own key — a
+// side that is chain-valid but does not replay fails with
+// kJournalReplayDivergence; a compacted side is chain-checked only, as
+// RemoteVerifier::VerifyJournal does without a snapshot. Then every
+// kMigrateIn adoption must pair with exactly one kMigrateOut handoff
+// (payload digest and chain-link prefix) that the source later purged, and
+// every handoff must be adopted; a mismatch fails with kJournalChainBroken.
 Status VerifyJournalSplice(std::span<const uint8_t> source_journal,
                            std::span<const uint8_t> dest_journal,
                            const SchnorrPublicKey& source_key,

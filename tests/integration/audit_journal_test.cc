@@ -15,6 +15,7 @@
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
+#include "src/monitor/recovery.h"
 #include "src/support/prng.h"
 #include "tests/testing/booted_machine.h"
 
@@ -127,11 +128,12 @@ TEST_F(AuditJournalTest, ReplayReproducesGraphAndSpansTieTheCascade) {
   // the context records (dispatches and hardware effects).
   const auto parsed = Journal::Deserialize(wire);
   ASSERT_TRUE(parsed.ok());
-  const auto replay = ReplayJournal(parsed->records);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->graph_json, graph_json);
-  EXPECT_GT(replay->applied, 0u);
-  EXPECT_GT(replay->skipped, 0u);
+  const auto history =
+      ReplayVerifiedJournal(*parsed, monitor_->public_key(), {}, /*crashed_tail=*/false);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  EXPECT_EQ(history->replay.graph_json, graph_json);
+  EXPECT_GT(history->replay.applied, 0u);
+  EXPECT_GT(history->replay.skipped, 0u);
 }
 
 TEST_F(AuditJournalTest, EveryRandomizedTamperIsCaught) {

@@ -169,9 +169,7 @@ std::unique_ptr<Evidence> CollectEvidence(IsaArch arch) {
 // shadow replay. Tolerates a prefix cut mid-span (the crash model).
 Digest OracleDigest(const std::vector<JournalRecord>& records) {
   CapabilityEngine shadow;
-  ReplayOptions options;
-  options.tolerate_truncated_tail = true;
-  const auto replay = ReplayJournalInto(&shadow, records, options);
+  const auto replay = ReplayJournalInto(&shadow, records, /*crashed_tail=*/true);
   EXPECT_TRUE(replay.ok()) << replay.status().ToString();
   return EngineDigest(shadow);
 }

@@ -571,6 +571,51 @@ TEST(MigrationSweep, InterleavedGrantsJournalInMintOrder) {
   EXPECT_TRUE(splice.ok()) << splice.ToString();
 }
 
+// A journal whose chain verifies but which does not replay fails both the
+// offline verifier and the splice, on either side of the handoff: the
+// splice replays each journal, it does not only check the two chains.
+TEST(MigrationSweep, SpliceRejectsJournalThatFailsReplay) {
+  for (const bool tamper_dest : {true, false}) {
+    SCOPED_TRACE(tamper_dest ? "destination side" : "source side");
+    auto world = MakeWorld(IsaArch::kX86_64);
+    ASSERT_NE(world, nullptr);
+    LossyChannel channel;
+    const auto report = MigrateDomain(world->source.get(), world->dest.get(), world->victim,
+                                      &channel, world->source->public_key());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    // The last memory grant (the adoption on the destination, the victim's
+    // grant on the source) claims one more remainder than the engine
+    // produces. The chain is re-linked from there and the monitor signs the
+    // new head on export, so only the replay can tell.
+    Monitor* tampered = tamper_dest ? world->dest.get() : world->source.get();
+    std::vector<JournalRecord> records = tampered->audit().journal().Records();
+    size_t grant = records.size();
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (records[i].event == static_cast<uint8_t>(JournalEvent::kGrantMemory)) {
+        grant = i;
+      }
+    }
+    ASSERT_LT(grant, records.size());
+    ++records[grant].aux;
+    for (size_t i = grant; i < records.size(); ++i) {
+      records[i].link =
+          ChainLink(i == 0 ? JournalGenesis() : records[i - 1].link, records[i]);
+    }
+    tampered->audit().journal().Restore(records, {});
+
+    const std::vector<uint8_t> source_journal = world->source->ExportJournal();
+    const std::vector<uint8_t> dest_journal = world->dest->ExportJournal();
+    const Status verified = RemoteVerifier::VerifyJournal(
+        tamper_dest ? dest_journal : source_journal, tampered->public_key(), nullptr);
+    EXPECT_EQ(verified.code(), ErrorCode::kJournalReplayDivergence) << verified.ToString();
+    const Status splice = VerifyJournalSplice(source_journal, dest_journal,
+                                              world->source->public_key(),
+                                              world->dest->public_key());
+    EXPECT_EQ(splice.code(), ErrorCode::kJournalReplayDivergence) << splice.ToString();
+  }
+}
+
 // Satellite regression: snapshots and concurrent dispatch exclude each
 // other SYMMETRICALLY — whichever starts first wins, in both orders.
 TEST(MigrationSweep, SnapshotConcurrencyExclusionBothOrders) {

@@ -1,10 +1,11 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Crash-consistent recovery: snapshot-anchored and fresh-boot Recover(),
 // attestation continuity across the crash, re-entrancy under injected
-// re-sync faults, journal compaction interplay, and the offline
-// snapshot-anchored verifier. The crash-point *sweep* (every record
-// boundary) lives in tests/integration/crash_sweep_test.cc; these tests pin
-// the semantics at a single, well-understood crash point.
+// re-sync faults, journal compaction interplay, and one tamper corpus
+// through every entry point of the one journal verifier. The crash-point
+// *sweep* (every record boundary) lives in tests/integration/
+// crash_sweep_test.cc; these tests pin the semantics at a single,
+// well-understood crash point.
 
 #include "src/monitor/recovery.h"
 
@@ -19,6 +20,7 @@
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 #include "tests/testing/scrape.h"
 
@@ -419,7 +421,11 @@ TEST(RecoveryTest, ResyncFaultSurfacesTypedErrorAndRetrySucceeds) {
   ExpectConsistent(bed->monitor.get());
 }
 
-TEST(RecoveryTest, OfflineVerifierAcceptsSnapshotAnchoredJournal) {
+// One tamper corpus through every entry point of the one journal verifier:
+// offline verification from genesis and from a snapshot, crash recovery,
+// and the migration splice (the row's journal as the destination side of
+// a pristine source). Every cell pins the ErrorCode (kOk = accepted).
+TEST(RecoveryTest, TamperCorpusThroughEveryEntryPoint) {
   auto bed = RecoveryBed::Create();
   ASSERT_NE(bed, nullptr);
   RunWorkload(*bed);
@@ -427,46 +433,125 @@ TEST(RecoveryTest, OfflineVerifierAcceptsSnapshotAnchoredJournal) {
 
   // Export checkpoints the tail (the verifier is strict about coverage --
   // this is the "auditor received a journal" path, not the crash path).
-  // Anchor the verification on an EARLIER snapshot so a real suffix replays.
-  const auto checkpoints = bed->monitor->audit().journal().Checkpoints();
-  uint64_t first_anchored = 0;
-  bool found = false;
-  for (const JournalCheckpoint& checkpoint : checkpoints) {
+  // Anchor on the EARLIEST snapshot so a real suffix replays.
+  const std::vector<uint8_t> wire = bed->monitor->ExportJournal();
+  const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
+  const auto pristine = Journal::Deserialize(wire);
+  ASSERT_TRUE(pristine.ok());
+  const JournalCheckpoint* anchor = nullptr;
+  for (const JournalCheckpoint& checkpoint : pristine->checkpoints) {
     if (checkpoint.snapshot != Digest{}) {
-      first_anchored = checkpoint.seq;
-      found = true;
+      anchor = &checkpoint;
       break;
     }
   }
-  ASSERT_TRUE(found);
-  const auto snapshot = bed->store.LatestAtOrBefore(first_anchored);
+  ASSERT_NE(anchor, nullptr);
+  const auto snapshot = bed->store.LatestAtOrBefore(anchor->seq);
   ASSERT_TRUE(snapshot.ok());
-  const std::vector<uint8_t> wire = bed->monitor->ExportJournal();
-  const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
+  ASSERT_EQ(snapshot->seq, anchor->seq);
 
-  const Status ok = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, graph_json);
-  EXPECT_TRUE(ok.ok()) << ok.ToString();
-
-  // Wrong expected graph: the replay diverges from the claimed state.
-  std::string wrong_graph = graph_json;
-  ASSERT_FALSE(wrong_graph.empty());
-  wrong_graph.back() = wrong_graph.back() == '}' ? ']' : '}';
-  const Status divergent = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, wrong_graph);
-  ASSERT_FALSE(divergent.ok());
-  EXPECT_EQ(divergent.code(), ErrorCode::kJournalReplayDivergence);
-
-  // A snapshot no signed checkpoint binds is refused outright.
+  // A flipped field breaks the hash chain.
+  ParsedJournal chain_break = *pristine;
+  chain_break.records[chain_break.records.size() / 2].base += kPageSize;
+  // A forged tail checkpoint signature.
+  ParsedJournal bad_signature = *pristine;
+  bad_signature.checkpoints.back().signature.s ^= 1;
+  // A graph the journal does not replay to.
+  const std::string wrong_graph = graph_json + " ";
+  // A snapshot no signed checkpoint binds.
   std::vector<uint8_t> unbound = snapshot->bytes;
   unbound[8] ^= 0x40;
-  const Status rejected = VerifyJournalWithSnapshot(wire, unbound, key, graph_json);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.code(), ErrorCode::kJournalSignatureInvalid);
+  // The prefix behind the anchor compacted away, as TruncateBefore does.
+  ParsedJournal compacted;
+  for (const JournalRecord& record : pristine->records) {
+    if (record.seq > anchor->seq) {
+      compacted.records.push_back(record);
+    }
+  }
+  for (const JournalCheckpoint& checkpoint : pristine->checkpoints) {
+    if (checkpoint.seq >= anchor->seq) {
+      compacted.checkpoints.push_back(checkpoint);
+    }
+  }
+  const std::vector<uint8_t> compacted_wire =
+      Journal::SerializeParts(compacted.records, compacted.checkpoints);
+  // A chain-valid journal that does not replay: the last revoke claims one
+  // more revoked capability than the engine produces. The chain is re-linked
+  // from there, the checkpoints before it stay, and the monitor signs the
+  // new head on export.
+  std::vector<JournalRecord> records = pristine->records;
+  size_t revoke = records.size();
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].event == static_cast<uint8_t>(JournalEvent::kRevoke)) {
+      revoke = i;
+    }
+  }
+  ASSERT_LT(revoke, records.size());
+  ASSERT_GT(records[revoke].seq, anchor->seq) << "the divergence must lie in the suffix";
+  ++records[revoke].aux;
+  for (size_t i = revoke; i < records.size(); ++i) {
+    records[i].link = ChainLink(i == 0 ? JournalGenesis() : records[i - 1].link, records[i]);
+  }
+  std::vector<JournalCheckpoint> kept;
+  for (const JournalCheckpoint& checkpoint : pristine->checkpoints) {
+    if (checkpoint.seq < records[revoke].seq) {
+      kept.push_back(checkpoint);
+    }
+  }
+  bed->monitor->audit().journal().Restore(records, kept);
+  const std::vector<uint8_t> divergent = bed->monitor->ExportJournal();
 
-  // A flipped record byte breaks the hash chain.
-  std::vector<uint8_t> broken = wire;
-  broken[broken.size() / 2] ^= 0x01;
-  const Status chain = VerifyJournalWithSnapshot(broken, snapshot->bytes, key, graph_json);
-  EXPECT_FALSE(chain.ok());
+  constexpr ErrorCode kOk = ErrorCode::kOk;
+  constexpr ErrorCode kChain = ErrorCode::kJournalChainBroken;
+  constexpr ErrorCode kSignature = ErrorCode::kJournalSignatureInvalid;
+  constexpr ErrorCode kDivergence = ErrorCode::kJournalReplayDivergence;
+  constexpr ErrorCode kPrecondition = ErrorCode::kFailedPrecondition;
+  struct Row {
+    const char* name;
+    std::vector<uint8_t> journal;
+    std::span<const uint8_t> snapshot;
+    const std::string* graph;
+    // VerifyJournal from genesis, VerifyJournal with the snapshot,
+    // MeasuredRecovery, VerifyJournalSplice.
+    ErrorCode genesis, anchored, recovery, splice;
+  };
+  const std::vector<Row> rows = {
+      {"pristine", wire, snapshot->bytes, &graph_json, kOk, kOk, kOk, kOk},
+      {"chain break", Journal::SerializeParts(chain_break.records, chain_break.checkpoints),
+       snapshot->bytes, &graph_json, kChain, kChain, kChain, kChain},
+      {"bad checkpoint signature",
+       Journal::SerializeParts(bad_signature.records, bad_signature.checkpoints),
+       snapshot->bytes, &graph_json, kSignature, kSignature, kSignature, kSignature},
+      {"wrong expected graph", wire, snapshot->bytes, &wrong_graph, kDivergence, kDivergence,
+       kOk, kOk},
+      {"unbound snapshot", wire, unbound, &graph_json, kOk, kSignature, kSignature, kOk},
+      {"replay divergence", divergent, snapshot->bytes, &graph_json, kDivergence,
+       kDivergence, kDivergence, kDivergence},
+      {"compacted, graph expected", compacted_wire, snapshot->bytes, &graph_json,
+       kPrecondition, kOk, kOk, kOk},
+      {"compacted, no graph", compacted_wire, snapshot->bytes, nullptr, kOk, kOk, kOk, kOk},
+  };
+
+  // Recovery boots fresh monitors on the bed's machine.
+  const BootParams params = bed->Params();
+  bed->monitor.reset();
+  const auto name = [](ErrorCode code) { return std::string(ErrorCodeName(code)); };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const Status genesis = RemoteVerifier::VerifyJournal(row.journal, key, row.graph);
+    EXPECT_EQ(name(genesis.code()), name(row.genesis)) << genesis.ToString();
+    const Status anchored =
+        RemoteVerifier::VerifyJournal(row.journal, key, row.graph, row.snapshot);
+    EXPECT_EQ(name(anchored.code()), name(row.anchored)) << anchored.ToString();
+    const auto parsed = Journal::Deserialize(row.journal);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const auto recovered =
+        MeasuredRecovery(bed->machine.get(), params, row.snapshot, *parsed);
+    EXPECT_EQ(name(recovered.status().code()), name(row.recovery))
+        << recovered.status().ToString();
+    const Status splice = VerifyJournalSplice(wire, row.journal, key, key);
+    EXPECT_EQ(name(splice.code()), name(row.splice)) << splice.ToString();
+  }
 }
 
 TEST(RecoveryTest, SnapshotStorePrunesWithCompaction) {

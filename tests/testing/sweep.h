@@ -236,9 +236,7 @@ inline void ExpectHardwareAndJournalSound(Monitor& monitor,
   const std::string graph_json = ExportCapabilityGraphJson(monitor.engine());
   const std::vector<uint8_t> wire = monitor.ExportJournal();
   const Status verified =
-      anchor_snapshot.empty()
-          ? RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json)
-          : VerifyJournalWithSnapshot(wire, anchor_snapshot, monitor.public_key(), graph_json);
+      RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json, anchor_snapshot);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 

@@ -4,22 +4,29 @@
 // With no arguments: self-test mode. Boots a simulated deployment, runs a
 // sharing / revocation workload, exports the journal, verifies it (chain,
 // checkpoint signatures, shadow replay against the graph snapshot), and then
-// demonstrates tamper detection by flipping one byte.
+// demonstrates tamper detection by flipping one byte and refuses an empty
+// snapshot file as unbound. A splice leg migrates
+// a domain between two monitors, verifies the journal pair, and checks that
+// a flipped byte and a destination journal that does not replay are both
+// refused.
 //
 // With arguments:
 //   `journal_verify [--snapshot snap.bin] <journal.bin> <monitor_pubkey_y> [graph.json]`
 // verifies a journal captured from a live run against the monitor's public
 // key (the decimal y coordinate printed by the examples) and, optionally, a
-// graph_export JSON snapshot file. `--snapshot` enables snapshot-anchored
-// verification: the snapshot's digest must be bound into a signed
-// checkpoint, and the journal suffix replays on top of its engine image —
+// graph_export JSON snapshot file. Both forms make the same call
+// (RemoteVerifier::VerifyJournal): without `--snapshot` the journal replays
+// from genesis; with it, the snapshot's digest must be bound into a signed
+// checkpoint and the journal suffix replays on top of its engine image —
 // the only way to fully verify a journal compacted with TruncateBefore().
+// An empty snapshot file binds no checkpoint and is refused as unbound.
 //
 //   `journal_verify --splice <source.bin> <dest.bin> <source_pubkey_y> <dest_pubkey_y>`
 // verifies the two journals of a live migration as one spliced custody
-// chain: each chain on its own, then every kMigrateIn adoption paired with
-// exactly one matching kMigrateOut handoff (payload digest and chain-link
-// binding), with the source required to purge the domain afterwards.
+// chain: each journal verified and replayed on its own, then every
+// kMigrateIn adoption paired with exactly one matching kMigrateOut handoff
+// (payload digest and chain-link binding), with the source required to
+// purge the domain afterwards.
 //
 // Exit codes:
 //   0  verified
@@ -37,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,7 +55,6 @@
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
 #include "src/monitor/migration.h"
-#include "src/monitor/recovery.h"
 #include "src/os/testbed.h"
 #include "src/tyche/loader.h"
 #include "src/tyche/verifier.h"
@@ -85,8 +92,9 @@ const char* ReasonFor(int exit_code) {
   }
 }
 
-// Splice mode: two journals, two keys — verifies each chain and then the
-// migration handoffs between them (VerifyJournalSplice, src/tyche/verifier).
+// Splice mode: two journals, two keys — verifies and replays each journal,
+// then the migration handoffs between them (VerifyJournalSplice,
+// src/tyche/verifier).
 int VerifySplice(const char* source_path, const char* dest_path, const char* source_key_str,
                  const char* dest_key_str, bool json);
 
@@ -125,6 +133,27 @@ bool ReadFile(const char* path, std::vector<uint8_t>* out) {
   return true;
 }
 
+// The verdict of the default and --snapshot modes. The verifier reads an
+// empty snapshot as "no snapshot", so an empty --snapshot file is refused
+// here: no signed checkpoint can bind it. As for any snapshot, a journal
+// that does not parse or whose chain fails reports that first.
+Status VerifyWithSnapshotFile(std::span<const uint8_t> journal, const SchnorrPublicKey& key,
+                              const std::string* expected_graph_json,
+                              const std::vector<uint8_t>* snapshot) {
+  if (snapshot == nullptr) {
+    return RemoteVerifier::VerifyJournal(journal, key, expected_graph_json);
+  }
+  if (snapshot->empty()) {
+    const Status chain = RemoteVerifier::VerifyJournal(journal, key, nullptr);
+    if (!chain.ok() && chain.code() != ErrorCode::kJournalReplayDivergence) {
+      return chain;
+    }
+    return Error(ErrorCode::kJournalSignatureInvalid,
+                 "snapshot digest is not bound to any signed checkpoint");
+  }
+  return RemoteVerifier::VerifyJournal(journal, key, expected_graph_json, *snapshot);
+}
+
 int VerifyFile(const char* journal_path, const char* pubkey_str, const char* graph_path,
                const char* snapshot_path, bool json) {
   std::vector<uint8_t> bytes;
@@ -154,17 +183,13 @@ int VerifyFile(const char* journal_path, const char* pubkey_str, const char* gra
     expected = &graph;
   }
 
-  Status status = OkStatus();
-  if (snapshot_path != nullptr) {
-    std::vector<uint8_t> snapshot;
-    if (!ReadFile(snapshot_path, &snapshot)) {
-      std::fprintf(stderr, "cannot open %s\n", snapshot_path);
-      return 2;
-    }
-    status = VerifyJournalWithSnapshot(bytes, snapshot, key, expected ? *expected : "");
-  } else {
-    status = RemoteVerifier::VerifyJournal(bytes, key, expected);
+  std::vector<uint8_t> snapshot;
+  if (snapshot_path != nullptr && !ReadFile(snapshot_path, &snapshot)) {
+    std::fprintf(stderr, "cannot open %s\n", snapshot_path);
+    return 2;
   }
+  const Status status =
+      VerifyWithSnapshotFile(bytes, key, expected, snapshot_path ? &snapshot : nullptr);
   // Deserialize for the verdict's chain-length numbers; on failure the
   // journal may still parse (tamper detection happens at verify, not parse).
   size_t records = 0;
@@ -316,6 +341,16 @@ int SelfTest(size_t* records, size_t* checkpoints) {
   }
   std::printf("single-bit tamper detected: %s\n", verdict.ToString().c_str());
 
+  // An empty --snapshot file is refused as unbound, not read as "no snapshot".
+  const std::vector<uint8_t> empty_snapshot;
+  verdict = VerifyWithSnapshotFile(wire, monitor.public_key(), &graph_json, &empty_snapshot);
+  if (ExitCodeFor(verdict) != 4) {
+    std::printf("FAIL: empty snapshot file not refused as %s: %s\n", ReasonFor(4),
+                verdict.ToString().c_str());
+    return 1;
+  }
+  std::printf("empty snapshot file refused: %s\n", verdict.ToString().c_str());
+
   // Splice leg: two measured-boot monitors, one migrated domain, and the
   // offline custody-chain verdict — plus a tampered-handoff rejection.
   std::printf("splice self-test: boot two monitors, migrate, splice-verify, tamper\n");
@@ -380,6 +415,36 @@ int SelfTest(size_t* records, size_t* checkpoints) {
     return 1;
   }
   std::printf("tampered handoff detected: %s\n", verdict.ToString().c_str());
+
+  // A destination journal whose chain verifies but which does not replay:
+  // bump the remainder count of the adoption grant, re-link the chain from
+  // there, and let the destination sign the new head on export.
+  std::vector<JournalRecord> dest_records = dest.audit().journal().Records();
+  size_t adoption = dest_records.size();
+  for (size_t i = 0; i < dest_records.size(); ++i) {
+    if (dest_records[i].event == static_cast<uint8_t>(JournalEvent::kGrantMemory)) {
+      adoption = i;
+    }
+  }
+  if (adoption == dest_records.size()) {
+    std::printf("FAIL: destination journal carries no adoption grant\n");
+    return 1;
+  }
+  ++dest_records[adoption].aux;
+  for (size_t i = adoption; i < dest_records.size(); ++i) {
+    dest_records[i].link =
+        ChainLink(i == 0 ? JournalGenesis() : dest_records[i - 1].link, dest_records[i]);
+  }
+  dest.audit().journal().Restore(dest_records, {});
+  verdict = VerifyJournalSplice(src_wire, dest.ExportJournal(), source.public_key(),
+                                dest.public_key());
+  if (ExitCodeFor(verdict) != 5) {
+    std::printf("FAIL: non-replaying destination journal not refused as %s: %s\n",
+                ReasonFor(5), verdict.ToString().c_str());
+    return 1;
+  }
+  std::printf("non-replaying destination journal detected: %s\n",
+              verdict.ToString().c_str());
   std::printf("self-test OK\n");
   return 0;
 }
